@@ -24,7 +24,7 @@ from .evalbench import (
     latency_benchmark,
 )
 from .ingest import export_outputs, load_frame_directory, load_raw_tensor, natural_key, save_raw_tensor
-from .kernels import load_kernel_bank
+from .kernels import ConvKernelBank, load_kernel_bank
 from .motion import downsample_volume
 from .pipeline import sample_video
 from .sampling import (
@@ -167,31 +167,34 @@ def _synthetic_spec(args: argparse.Namespace, default_burst: bool = False) -> Sy
         raise _UsageError(f"motionsample {args.command}: error: {e}") from e
 
 
-def _load_single_volume(args: argparse.Namespace, path: Path):
-    if args.frames_dir is not None:
-        volume, _ = load_frame_directory(path)
-    else:
-        volume = load_raw_tensor(path)
-    return downsample_volume(volume, args.downsample)
-
-
-def _sample_one(args: argparse.Namespace, cfg: SamplerConfig, path: Path, out_path, curve_path) -> str | None:
-    volume = _load_single_volume(args, path)
-    bank = load_kernel_bank(args.weights) if args.weights else None
+def _sample_one(args: argparse.Namespace, cfg: SamplerConfig, bank: ConvKernelBank | None,
+                path: Path, frames_dir: bool, out_path, curve_path=None) -> None:
+    """Load one video, sample it, and write its plan (stdout when out_path is None)."""
+    volume = load_frame_directory(path)[0] if frames_dir else load_raw_tensor(path)
+    volume = downsample_volume(volume, args.downsample)
     plan, curve, _ = sample_video(volume, cfg, args.representation, bank, make_rng(cfg.seed))
     if out_path is not None:
         export_outputs(plan, out_path, curve, curve_path)
-        return None
+        return
     if curve_path is not None:
         Path(curve_path).write_text(curve_to_csv(curve), encoding="ascii")
-    return plan_to_json(plan)
+    sys.stdout.write(plan_to_json(plan))
 
 
-def _scan_batch_dir(root: Path) -> list[Path]:
+def _batch_jobs(root: Path, out_dir: Path) -> list[tuple[Path, Path]]:
+    """(video, plan path) for every video under root in natural order; plan paths must differ."""
     if not root.is_dir():
         raise MotionSampleError(f"{root}: not a directory")
     videos = [p for p in root.iterdir() if p.is_dir() or p.suffix.lower() == ".mgvt"]
-    return sorted(videos, key=lambda p: natural_key(p.name))
+    if not videos:
+        raise MotionSampleError(f"{root}: no videos found")
+    owners: dict[Path, Path] = {}
+    for path in sorted(videos, key=lambda p: natural_key(p.name)):
+        out_path = out_dir / f"{path.stem if path.is_file() else path.name}.plan.json"
+        if out_path in owners:
+            raise MotionSampleError(f"{owners[out_path]} and {path} would both write {out_path}")
+        owners[out_path] = path
+    return [(path, out_path) for out_path, path in owners.items()]
 
 
 def _run_sample(args: argparse.Namespace) -> int:
@@ -200,48 +203,36 @@ def _run_sample(args: argparse.Namespace) -> int:
     if args.downsample < 1:
         raise _UsageError("motionsample sample: error: --downsample must be >= 1")
     cfg = _sampler_config(args)
+    if args.batch and args.emit_curve:
+        raise _UsageError("motionsample sample: error: --emit-curve is not available with --batch")
+    if args.batch and not args.out:
+        raise _UsageError("motionsample sample: error: --batch requires --out DIRECTORY")
+    root = Path(args.frames_dir or args.raw_tensor)
+    jobs = _batch_jobs(root, Path(args.out)) if args.batch else []
+    bank = load_kernel_bank(args.weights) if args.weights else None
     if not args.batch:
-        text = _sample_one(
-            args,
-            cfg,
-            Path(args.frames_dir or args.raw_tensor),
-            args.out,
-            args.emit_curve,
-        )
-        if text is not None:
-            sys.stdout.write(text)
+        _sample_one(args, cfg, bank, root, args.frames_dir is not None, args.out, args.emit_curve)
         return EXIT_OK
 
-    if args.emit_curve:
-        raise _UsageError("motionsample sample: error: --emit-curve is not available with --batch")
-    if not args.out:
-        raise _UsageError("motionsample sample: error: --batch requires --out DIRECTORY")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    videos = _scan_batch_dir(Path(args.frames_dir or args.raw_tensor))
-    if not videos:
-        raise MotionSampleError(f"{args.frames_dir or args.raw_tensor}: no videos found")
+    def work(item: tuple[int, tuple[Path, Path]]) -> str | None:
+        """One video's error message, or None once its plan is written."""
+        ordinal, (path, out_path) = item
+        try:
+            # batch inputs may mix frame dirs and .mgvt files
+            _sample_one(args, replace(cfg, seed=video_seed(cfg.seed, ordinal)), bank, path, path.is_dir(), out_path)
+        except (MotionSampleError, OSError) as e:
+            return str(e) if str(e).startswith(str(path)) else f"{path}: {e}"
+        return None
 
-    def work(item: tuple[int, Path]) -> str:
-        ordinal, path = item
-        per_video = replace(cfg, seed=video_seed(cfg.seed, ordinal))
-        # batch inputs may mix frame dirs and .mgvt files
-        if path.is_dir():
-            volume, _ = load_frame_directory(path)
-        else:
-            volume = load_raw_tensor(path)
-        volume = downsample_volume(volume, args.downsample)
-        bank = load_kernel_bank(args.weights) if args.weights else None
-        plan, _, _ = sample_video(volume, per_video, args.representation, bank, make_rng(per_video.seed))
-        out_path = out_dir / f"{path.stem if path.is_file() else path.name}.plan.json"
-        out_path.write_text(plan_to_json(plan), encoding="ascii")
-        return str(out_path)
-
-    with ThreadPoolExecutor(max_workers=min(8, len(videos))) as pool:
-        written = list(pool.map(work, enumerate(videos)))
-    for line in written:
-        print(line)
-    return EXIT_OK
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
+        errors = list(pool.map(work, enumerate(jobs)))
+    for (_, out_path), error in zip(jobs, errors):
+        if error is None:
+            print(out_path)
+    for error in filter(None, errors):
+        print(f"error: {error}", file=sys.stderr)
+    return EXIT_INPUT if any(errors) else EXIT_OK
 
 
 def _run_eval(args: argparse.Namespace) -> int:

@@ -19,8 +19,8 @@ import numpy as np
 from .errors import ConfigError, StructuralError
 from .kernels import ConvKernelBank
 from .motion import FrameVolume, MotionDistribution
-from .pipeline import sample_video
-from .sampling import SamplePlan, SamplerConfig, make_rng, with_strategy
+from .pipeline import sample_video, video_distribution
+from .sampling import SamplePlan, SamplerConfig, make_rng, sample_from_distribution, with_strategy
 
 COMPARED_STRATEGIES = ("mg", "segment", "stride", "topk")
 
@@ -167,20 +167,17 @@ def compare_strategies(
     representation: str = "image",
     bank: ConvKernelBank | None = None,
 ) -> CoverageReport:
-    """Run mg, segment, stride, and topk on identical salience; report coverage.
+    """Run mg, segment, stride, and topk on one distribution; report coverage.
 
-    Each strategy gets a fresh generator seeded from cfg.seed, so results do
-    not depend on strategy order.
+    The distribution is computed once.  Each strategy gets a fresh generator
+    seeded from cfg.seed, so results do not depend on strategy order.
     """
+    m = video_distribution(volume, cfg.mu, representation, bank)
     coverage = {}
-    mass = None
     for strategy in COMPARED_STRATEGIES:
-        strat_cfg = with_strategy(cfg, strategy)
-        plan, _, m = sample_video(volume, strat_cfg, representation, bank, make_rng(cfg.seed))
+        plan = sample_from_distribution(m, with_strategy(cfg, strategy), make_rng(cfg.seed))
         coverage[strategy] = burst_coverage(plan, spec)
-        if mass is None:
-            mass = salience_mass_in_bursts(m, spec)
-    return CoverageReport(coverage=coverage, salience_mass_in_bursts=mass)
+    return CoverageReport(coverage=coverage, salience_mass_in_bursts=salience_mass_in_bursts(m, spec))
 
 
 def _timed_runs(

@@ -12,6 +12,7 @@ zero bytes; then the T*H*W*C payload in C order.
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -105,18 +106,17 @@ def load_frame_directory(path, extensions: tuple[str, ...] = _PNM_EXTENSIONS) ->
     )
     if not names:
         raise StructuralError(f"{root}: no frames with extensions {extensions} found")
-    frames = []
-    shape = None
-    for name in names:
+    frames = None  # allocated once the first frame gives the shape
+    for t, name in enumerate(names):
         pixels, _ = _parse_pnm((root / name).read_bytes(), name)
-        if shape is None:
-            shape = pixels.shape
-        elif pixels.shape != shape:
+        if frames is None:
+            frames = np.empty((len(names), *pixels.shape), dtype=np.uint8)
+        elif pixels.shape != frames.shape[1:]:
             raise StructuralError(
-                f"{name}: frame shape {pixels.shape} differs from first frame {shape}"
+                f"{name}: frame shape {pixels.shape} differs from first frame {frames.shape[1:]}"
             )
-        frames.append(pixels)
-    volume = FrameVolume(np.stack(frames))
+        frames[t] = pixels
+    volume = FrameVolume(frames)
     manifest = VideoManifest(
         source=str(root),
         format="image-dir",
@@ -130,24 +130,27 @@ def load_frame_directory(path, extensions: tuple[str, ...] = _PNM_EXTENSIONS) ->
 
 
 def load_raw_tensor(path) -> FrameVolume:
-    """Parse an MGVT file into a frame volume."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _RAW_HEADER.size:
-        raise FormatError(f"{path}: shorter than the 32-byte MGVT header")
-    magic, version, t, h, w, c, dtype_tag = _RAW_HEADER.unpack_from(raw)
-    if magic != RAW_TENSOR_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {RAW_TENSOR_MAGIC!r}")
-    if version != RAW_TENSOR_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if dtype_tag not in _DTYPE_TAGS:
-        raise FormatError(f"{path}: unknown dtype tag {dtype_tag}")
-    dtype = _DTYPE_TAGS[dtype_tag]
-    expected = t * h * w * c * dtype.itemsize
-    actual = len(raw) - _RAW_HEADER.size
-    if actual != expected:
-        raise FormatError(f"{path}: expected {expected} payload bytes, got {actual}")
-    data = np.frombuffer(raw, dtype=dtype, offset=_RAW_HEADER.size)
-    return FrameVolume(data.reshape(t, h, w, c).copy())
+    """Parse an MGVT file into a frame volume; the payload is read once, into its array."""
+    with open(path, "rb") as f:
+        header = f.read(_RAW_HEADER.size)
+        if len(header) < _RAW_HEADER.size:
+            raise FormatError(f"{path}: shorter than the 32-byte MGVT header")
+        magic, version, t, h, w, c, dtype_tag = _RAW_HEADER.unpack(header)
+        if magic != RAW_TENSOR_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {RAW_TENSOR_MAGIC!r}")
+        if version != RAW_TENSOR_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if dtype_tag not in _DTYPE_TAGS:
+            raise FormatError(f"{path}: unknown dtype tag {dtype_tag}")
+        if 0 in (t, h, w, c):  # numpy cannot shape an empty array with huge other dims
+            raise FormatError(f"{path}: header declares an empty {t}x{h}x{w}x{c} volume")
+        dtype = _DTYPE_TAGS[dtype_tag]
+        expected = t * h * w * c * dtype.itemsize
+        actual = os.fstat(f.fileno()).st_size - _RAW_HEADER.size
+        if actual != expected:
+            raise FormatError(f"{path}: expected {expected} payload bytes, got {actual}")
+        data = np.fromfile(f, dtype=dtype, count=t * h * w * c)
+    return FrameVolume(data.reshape(t, h, w, c))
 
 
 def save_raw_tensor(volume: FrameVolume, path) -> None:

@@ -44,6 +44,16 @@ def compute_salience(
     return feature_diff_salience(volume, bank)
 
 
+def video_distribution(
+    volume: FrameVolume,
+    mu: float,
+    representation: str = "image",
+    bank: ConvKernelBank | None = None,
+) -> MotionDistribution:
+    """Salience, l1-normalized and power-smoothed by mu: what every strategy draws from."""
+    return smooth_distribution(normalize_salience(compute_salience(volume, representation, bank)), mu)
+
+
 def sample_video(
     volume: FrameVolume,
     cfg: SamplerConfig,
@@ -56,8 +66,7 @@ def sample_video(
     Returns the plan together with the smoothed distribution and its curve so
     callers can export or inspect them without recomputation.
     """
-    salience = compute_salience(volume, representation, bank)
-    m = smooth_distribution(normalize_salience(salience), cfg.mu)
+    m = video_distribution(volume, cfg.mu, representation, bank)
     curve = build_curve(m)
     if cfg.strategy == "mg":
         plan = mg_sample(curve, cfg, rng)

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from motionsample import load_raw_tensor, save_kernel_bank, random_bank
+from motionsample import FrameVolume, load_raw_tensor, random_bank, save_kernel_bank, save_raw_tensor, video_seed
 from motionsample.cli import main
 from conftest import write_pgm
 
@@ -164,6 +165,65 @@ class TestBatchMode:
         root.mkdir()
         assert main(["sample", "--frames-dir", str(root), "--batch",
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("representation", ["image", "feature"])
+    def test_batch_plan_equals_single_video_run(self, tmp_path, capsys, representation):
+        root = tmp_path / "videos"
+        root.mkdir()
+        make_frames_dir(root, "v1", t=9, seed=1)
+        make_frames_dir(root, "v10", t=7, seed=2)
+        rng = np.random.default_rng(3)
+        save_raw_tensor(FrameVolume(rng.integers(0, 256, (10, 8, 8, 1), dtype=np.uint8)), root / "v2.mgvt")
+        save_raw_tensor(FrameVolume(rng.uniform(0, 255, (8, 8, 8, 1)).astype(np.float32)), root / "v3.mgvt")
+        flags = ["--num-frames", "4", "--mu", "0.7", "--representation", representation]
+        if representation == "feature":
+            weights = tmp_path / "bank.mgkb"
+            save_kernel_bank(random_bank(1, seed=3), weights)
+            flags += ["--weights", str(weights)]
+        out = tmp_path / "plans"
+        assert main(["sample", "--frames-dir", str(root), "--batch", "--seed", "6",
+                     "--out", str(out), *flags]) == 0
+        order = [("v1", "--frames-dir"), ("v2.mgvt", "--raw-tensor"), ("v3.mgvt", "--raw-tensor"),
+                 ("v10", "--frames-dir")]
+        plans = [out / f"{name.removesuffix('.mgvt')}.plan.json" for name, _ in order]
+        assert capsys.readouterr().out == "".join(f"{p}\n" for p in plans)
+        for i, ((name, flag), plan) in enumerate(zip(order, plans)):
+            assert main(["sample", flag, str(root / name), "--seed", str(video_seed(6, i)), *flags]) == 0
+            assert plan.read_text() == capsys.readouterr().out
+
+    def test_name_collision_is_input_error_before_any_work(self, tmp_path, capsys):
+        root = tmp_path / "videos"
+        root.mkdir()
+        make_frames_dir(root, "a", seed=1)
+        save_raw_tensor(FrameVolume(np.zeros((4, 8, 8, 1), dtype=np.uint8)), root / "a.mgvt")
+        make_frames_dir(root, "b", seed=2)
+        out = tmp_path / "plans"
+        assert main(["sample", "--frames-dir", str(root), "--batch", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"{root / 'a'} and {root / 'a.mgvt'}" in captured.err
+        assert not out.exists()
+
+    def test_bad_videos_fail_alone(self, tmp_path, capsys):
+        root = tmp_path / "videos"
+        root.mkdir()
+        make_frames_dir(root, "clip1", seed=1)
+        save_raw_tensor(FrameVolume(np.zeros((4, 8, 8, 1), dtype=np.uint8)), root / "clip2.mgvt")
+        truncated = (root / "clip2.mgvt").read_bytes()[:-5]
+        (root / "clip2.mgvt").write_bytes(truncated)
+        make_frames_dir(root, "clip3", seed=3)
+        (make_frames_dir(root, "clip4", seed=4) / "frame2.pgm").write_bytes(b"P9 junk")
+        out = tmp_path / "plans"
+        assert main(["sample", "--frames-dir", str(root), "--batch", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        good = [out / "clip1.plan.json", out / "clip3.plan.json"]
+        assert captured.out == "".join(f"{p}\n" for p in good)
+        assert sorted(out.iterdir()) == good
+        errors = captured.err.splitlines()
+        assert len(errors) == 2
+        assert errors[0].startswith(f"error: {root / 'clip2.mgvt'}: ") and "payload bytes" in errors[0]
+        assert errors[1].startswith(f"error: {root / 'clip4'}: frame2.pgm: ")
 
 
 class TestEvalCommand:

@@ -16,12 +16,16 @@ from motionsample import (
     generate_synthetic_video,
     image_diff_salience,
     latency_benchmark,
+    make_rng,
     mg_sample,
     normalize_salience,
     build_curve,
+    salience_mass_in_bursts,
     sample_video,
     smooth_distribution,
+    with_strategy,
 )
+from motionsample.evalbench import COMPARED_STRATEGIES
 
 
 def spec_with(t=50, bursts=(), **kw):
@@ -149,6 +153,20 @@ class TestCompareStrategies:
                 cfg = SamplerConfig(n_frames=8, mu=mu, deterministic=True)
                 report = compare_strategies(volume, spec, cfg)
                 assert report.coverage["mg"] >= report.coverage["segment"]
+
+    @pytest.mark.parametrize("representation, channels", [("image", 1), ("feature", 3)])
+    def test_matches_one_sample_video_per_strategy(self, representation, channels):
+        spec = SyntheticSpec(t_count=48, height=16, width=16, channels=channels,
+                             bursts=((8, 19, 3.0), (30, 33, 6.0)), noise=0.5, seed=2)
+        volume = generate_synthetic_video(spec)
+        cfg = SamplerConfig(n_frames=6, mu=0.7, seed=11)
+        report = compare_strategies(volume, spec, cfg, representation)
+        coverage, mass = {}, None
+        for strategy in COMPARED_STRATEGIES:
+            plan, _, m = sample_video(volume, with_strategy(cfg, strategy), representation, None, make_rng(cfg.seed))
+            coverage[strategy] = burst_coverage(plan, spec)
+            mass = salience_mass_in_bursts(m, spec)
+        assert report == CoverageReport(coverage=coverage, salience_mass_in_bursts=mass)
 
     def test_report_json_round_trips(self):
         spec = spec_with(t=40, bursts=((10, 19, 2.0),))

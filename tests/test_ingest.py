@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from motionsample import (
     FormatError,
@@ -16,6 +18,7 @@ from motionsample import (
     SamplerConfig,
     MotionDistribution,
 )
+from motionsample.ingest import _parse_pnm
 from conftest import random_volume, write_pgm, write_ppm
 
 
@@ -162,11 +165,49 @@ class TestRawTensor:
         with pytest.raises(FormatError, match="version"):
             load_raw_tensor(path)
 
+    @pytest.mark.parametrize("dims", [(0, 5, 5, 3), (0, 2**32 - 1, 2**32 - 1, 3), (2, 4, 0, 1)])
+    def test_empty_volume_names_file(self, tmp_path, dims):
+        path = tmp_path / "empty.mgvt"
+        path.write_bytes(raw_tensor_bytes(*dims, 0, b""))
+        with pytest.raises(FormatError, match="empty.mgvt"):
+            load_raw_tensor(path)
+
     def test_header_is_32_bytes(self, tmp_path, rng):
         v = random_volume(rng, 1, h=1, w=1, c=1)
         path = tmp_path / "v.mgvt"
         save_raw_tensor(v, path)
         assert path.stat().st_size == 32 + 1
+
+
+class TestHeaderFuzz:
+    """Whatever the bytes, the parsers return a volume or raise FormatError/StructuralError."""
+
+    _dim = st.integers(0, 4) | st.integers(0, 2**32 - 1)
+    _mgvt_files = st.builds(raw_tensor_bytes, _dim, _dim, _dim, _dim, st.integers(0, 3),
+                            st.binary(max_size=80), version=st.sampled_from([1, 2]))
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.binary(max_size=64) | _mgvt_files)
+    def test_raw_tensor(self, tmp_path, data):
+        path = tmp_path / "fuzz.mgvt"
+        path.write_bytes(data)
+        try:
+            load_raw_tensor(path)
+        except (FormatError, StructuralError):
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=64) | st.builds(
+        lambda magic, header, raster: magic + header + raster,
+        st.sampled_from([b"P5", b"P6"]),
+        st.from_regex(rb"([ \t\n]|#[ -~]*\n)*[0-9]{1,4}[ \t\n]+[0-9]{1,4}[ \t\n]+[0-9]{1,4}[ \t\n]?", fullmatch=True),
+        st.binary(max_size=64),
+    ))
+    def test_pnm(self, data):
+        try:
+            _parse_pnm(data, "fuzz.pgm")
+        except (FormatError, StructuralError):
+            pass
 
 
 class TestExportOutputs:
