@@ -23,7 +23,14 @@ from .evalbench import (
     generate_synthetic_video,
     latency_benchmark,
 )
-from .ingest import export_outputs, load_frame_directory, load_raw_tensor, natural_key, save_raw_tensor
+from .ingest import (
+    export_outputs,
+    load_frame_directory,
+    load_raw_tensor,
+    natural_key,
+    save_raw_tensor,
+    write_text_atomic,
+)
 from .kernels import ConvKernelBank, load_kernel_bank
 from .motion import downsample_volume
 from .pipeline import sample_video
@@ -168,17 +175,25 @@ def _synthetic_spec(args: argparse.Namespace, default_burst: bool = False) -> Sy
 
 
 def _sample_one(args: argparse.Namespace, cfg: SamplerConfig, bank: ConvKernelBank | None,
-                path: Path, frames_dir: bool, out_path, curve_path=None) -> None:
-    """Load one video, sample it, and write its plan (stdout when out_path is None)."""
-    volume = load_frame_directory(path)[0] if frames_dir else load_raw_tensor(path)
-    volume = downsample_volume(volume, args.downsample)
-    plan, curve, _ = sample_video(volume, cfg, args.representation, bank, make_rng(cfg.seed))
-    if out_path is not None:
-        export_outputs(plan, out_path, curve, curve_path)
-        return
-    if curve_path is not None:
-        Path(curve_path).write_text(curve_to_csv(curve), encoding="ascii")
+                path: Path, frames_dir: bool, out_path, curve_path=None) -> str | None:
+    """Load one video, sample it, and write its plan (stdout when out_path is None).
+
+    Returns None once the plan is written, else an error message that starts
+    with the video path.
+    """
+    try:
+        volume = load_frame_directory(path)[0] if frames_dir else load_raw_tensor(path)
+        volume = downsample_volume(volume, args.downsample)
+        plan, curve, _ = sample_video(volume, cfg, args.representation, bank, make_rng(cfg.seed))
+        if out_path is not None:
+            export_outputs(plan, out_path, curve, curve_path)
+            return None
+        if curve_path is not None:
+            write_text_atomic(curve_path, curve_to_csv(curve))
+    except (MotionSampleError, OSError) as e:
+        return str(e) if str(e).startswith(str(path)) else f"{path}: {e}"
     sys.stdout.write(plan_to_json(plan))
+    return None
 
 
 def _batch_jobs(root: Path, out_dir: Path) -> list[tuple[Path, Path]]:
@@ -211,18 +226,16 @@ def _run_sample(args: argparse.Namespace) -> int:
     jobs = _batch_jobs(root, Path(args.out)) if args.batch else []
     bank = load_kernel_bank(args.weights) if args.weights else None
     if not args.batch:
-        _sample_one(args, cfg, bank, root, args.frames_dir is not None, args.out, args.emit_curve)
+        error = _sample_one(args, cfg, bank, root, args.frames_dir is not None, args.out, args.emit_curve)
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
+            return EXIT_INPUT
         return EXIT_OK
 
     def work(item: tuple[int, tuple[Path, Path]]) -> str | None:
-        """One video's error message, or None once its plan is written."""
         ordinal, (path, out_path) = item
-        try:
-            # batch inputs may mix frame dirs and .mgvt files
-            _sample_one(args, replace(cfg, seed=video_seed(cfg.seed, ordinal)), bank, path, path.is_dir(), out_path)
-        except (MotionSampleError, OSError) as e:
-            return str(e) if str(e).startswith(str(path)) else f"{path}: {e}"
-        return None
+        # batch inputs may mix frame dirs and .mgvt files
+        return _sample_one(args, replace(cfg, seed=video_seed(cfg.seed, ordinal)), bank, path, path.is_dir(), out_path)
 
     Path(args.out).mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 import re
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,12 +109,13 @@ def load_frame_directory(path, extensions: tuple[str, ...] = _PNM_EXTENSIONS) ->
         raise StructuralError(f"{root}: no frames with extensions {extensions} found")
     frames = None  # allocated once the first frame gives the shape
     for t, name in enumerate(names):
-        pixels, _ = _parse_pnm((root / name).read_bytes(), name)
+        frame_path = root / name
+        pixels, _ = _parse_pnm(frame_path.read_bytes(), str(frame_path))
         if frames is None:
             frames = np.empty((len(names), *pixels.shape), dtype=np.uint8)
         elif pixels.shape != frames.shape[1:]:
             raise StructuralError(
-                f"{name}: frame shape {pixels.shape} differs from first frame {frames.shape[1:]}"
+                f"{frame_path}: frame shape {pixels.shape} differs from first frame {frames.shape[1:]}"
             )
         frames[t] = pixels
     volume = FrameVolume(frames)
@@ -169,10 +171,27 @@ def save_raw_tensor(volume: FrameVolume, path) -> None:
     Path(path).write_bytes(header + payload)
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write ASCII text to a temporary file beside ``path``, then rename it into place.
+
+    A write that fails midway leaves ``path`` as it was and removes the
+    temporary file, so a reader never sees a partial output.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def export_outputs(plan: SamplePlan, plan_path, curve: CumulativeCurve | None = None, curve_path=None) -> None:
-    """Write the plan JSON and, optionally, the curve CSV; both byte-stable."""
-    Path(plan_path).write_text(plan_to_json(plan), encoding="ascii")
+    """Write the plan JSON and, optionally, the curve CSV; both byte-stable and atomic."""
+    write_text_atomic(plan_path, plan_to_json(plan))
     if curve_path is not None:
         if curve is None:
             raise StructuralError("curve_path given but no curve to write")
-        Path(curve_path).write_text(curve_to_csv(curve), encoding="ascii")
+        write_text_atomic(curve_path, curve_to_csv(curve))

@@ -89,7 +89,8 @@ class SalienceVector:
         if v[0] != 0.0:
             raise StructuralError(f"salience[0] must be 0, got {v[0]}")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
-            raise StructuralError("salience entries must be finite and >= 0")
+            bad = int(np.argmin(np.isfinite(v) & (v >= 0)))  # argmin of a bool array: first False
+            raise StructuralError(f"salience entry {bad} (frame {bad}) must be finite and >= 0")
         if self.representation not in ("image", "feature"):
             raise StructuralError(f"unknown representation tag {self.representation!r}")
         object.__setattr__(self, "values", _frozen_array(v))
@@ -155,15 +156,23 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     Each frame is mapped to 8 feature maps; consecutive maps are subtracted,
     the 8 channels collapse per pixel to sqrt(sum of squares), and the result
     is summed over the spatial domain.  values[0] is 0.
+
+    A frame bit-identical to its predecessor is not convolved: its feature map
+    would equal the cached one, so its salience is exactly 0 and the cost of a
+    clip scales with its changed frames.  A frame holding NaN never compares
+    equal, so it is convolved and rejected as non-finite.
     """
     if bank.channels != video.channels:
         raise ConfigError(
             f"kernel bank expects {bank.channels} channel(s), video has {video.channels}"
         )
+    frames = video.frames
     out = np.zeros(video.t_count, dtype=np.float64)
-    prev = conv2d_apply(video.frames[0], bank)
+    prev = conv2d_apply(frames[0], bank)
     for t in range(1, video.t_count):
-        cur = conv2d_apply(video.frames[t], bank)
+        if np.array_equal(frames[t], frames[t - 1]):
+            continue
+        cur = conv2d_apply(frames[t], bank)
         diff = cur - prev
         out[t] = np.sqrt(np.square(diff).sum(axis=0)).sum()
         prev = cur

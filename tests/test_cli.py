@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -113,6 +115,31 @@ class TestSampleErrors:
         bad.write_bytes(b"NOTAVIDEO")
         assert main(["sample", "--raw-tensor", str(bad)]) == 2
 
+    def test_non_finite_frame_names_file_and_frame(self, tmp_path, capsys):
+        frames = np.zeros((6, 8, 8, 1), dtype=np.float32)
+        frames[4, 2, 3, 0] = np.nan
+        mgvt = tmp_path / "nan.mgvt"
+        save_raw_tensor(FrameVolume(frames), mgvt)
+        assert main(["sample", "--raw-tensor", str(mgvt)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {mgvt}: salience entry 4 (frame 4) must be finite and >= 0\n"
+
+    def test_failed_curve_write_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        d = make_frames_dir(tmp_path, "v")
+        out = tmp_path / "out"
+        out.mkdir()
+
+        def no_rename(src, dst):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        assert main(["sample", "--frames-dir", str(d), "--emit-curve", str(out / "curve.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {d}: ") and "Input/output error" in captured.err
+        assert list(out.iterdir()) == []
+
     def test_topk_with_too_few_frames_is_input_error(self, tmp_path, capsys):
         d = make_frames_dir(tmp_path, "v", t=3)
         assert main(["sample", "--frames-dir", str(d), "--strategy", "topk",
@@ -223,7 +250,7 @@ class TestBatchMode:
         errors = captured.err.splitlines()
         assert len(errors) == 2
         assert errors[0].startswith(f"error: {root / 'clip2.mgvt'}: ") and "payload bytes" in errors[0]
-        assert errors[1].startswith(f"error: {root / 'clip4'}: frame2.pgm: ")
+        assert errors[1].startswith(f"error: {root / 'clip4' / 'frame2.pgm'}: not a binary PGM/PPM")
 
 
 class TestEvalCommand:

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from motionsample import motion
 from motionsample import (
     ConfigError,
+    conv2d_apply,
     FrameVolume,
     MotionDistribution,
     SalienceVector,
@@ -15,6 +17,7 @@ from motionsample import (
     identity_bank,
     image_diff_salience,
     normalize_salience,
+    random_bank,
     smooth_distribution,
     zero_bank,
 )
@@ -164,6 +167,63 @@ class TestFeatureDiffSalience:
         assert s.representation == "feature"
 
 
+def repeat_runs(rng, dtype, c):
+    """Frames 0 1 1 1 2 3 3 4 4 4 4: exact repeats in runs, moving frames between."""
+    distinct = random_volume(rng, 5, h=6, w=7, c=c, dtype=dtype).frames
+    return FrameVolume(distinct[[0, 1, 1, 1, 2, 3, 3, 4, 4, 4, 4]])
+
+
+def convolve_every_frame(video, bank):
+    """feature_diff_salience without the repeat skip: one conv2d_apply per frame."""
+    feats = [conv2d_apply(frame, bank) for frame in video.frames]
+    out = [0.0] + [np.sqrt(np.square(cur - prev).sum(axis=0)).sum() for prev, cur in zip(feats, feats[1:])]
+    return np.array(out)
+
+
+@pytest.fixture
+def conv_calls(monkeypatch):
+    """Counts the conv2d_apply calls feature_diff_salience makes."""
+    calls = []
+
+    def counting(frame, bank):
+        calls.append(1)
+        return conv2d_apply(frame, bank)
+
+    monkeypatch.setattr(motion, "conv2d_apply", counting)
+    return calls
+
+
+class TestFeatureSkipsRepeats:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_bitwise_equal_to_convolving_every_frame(self, rng, dtype, c):
+        v = repeat_runs(rng, dtype, c)
+        bank = random_bank(c, seed=int(rng.integers(1 << 16)))
+        s = feature_diff_salience(v, bank).values
+        assert np.array_equal(s, convolve_every_frame(v, bank))
+        assert s[[2, 3, 6, 8, 9, 10]].tolist() == [0.0] * 6
+
+    def test_convolves_first_and_changed_frames_only(self, rng, conv_calls):
+        v = repeat_runs(rng, np.uint8, 1)
+        feature_diff_salience(v, random_bank(1))
+        changed = sum(not np.array_equal(a, b) for a, b in zip(v.frames, v.frames[1:]))
+        assert len(conv_calls) == 1 + changed == 5
+
+    def test_static_clip_convolves_once_and_falls_back_to_uniform(self, rng, conv_calls):
+        v = FrameVolume(np.repeat(random_volume(rng, 1).frames, 6, axis=0))
+        s = feature_diff_salience(v, random_bank(1))
+        assert len(conv_calls) == 1
+        assert s.values.tolist() == [0.0] * 6
+        assert normalize_salience(s).degenerate_uniform
+
+    def test_repeated_nan_frame_still_raises(self, rng):
+        # every frame repeats frame 0 byte for byte; only NaN != NaN keeps them apart
+        frame = random_volume(rng, 1, dtype=np.float32).frames.copy()
+        frame[0, 1, 2, 0] = np.nan
+        with pytest.raises(StructuralError, match=r"salience entry 1 \(frame 1\)"):
+            feature_diff_salience(FrameVolume(np.repeat(frame, 3, axis=0)), random_bank(1))
+
+
 class TestSalienceVector:
     def test_rejects_nonzero_first_entry(self):
         with pytest.raises(StructuralError):
@@ -176,6 +236,11 @@ class TestSalienceVector:
     def test_rejects_unknown_tag(self):
         with pytest.raises(StructuralError):
             SalienceVector(np.array([0.0]), "optical-flow")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_error_names_first_offending_frame(self, bad):
+        with pytest.raises(StructuralError, match=r"^salience entry 3 \(frame 3\) must be finite"):
+            SalienceVector(np.array([0.0, 1.0, 2.0, bad, np.nan]), "image")
 
 
 class TestNormalizeSalience:
