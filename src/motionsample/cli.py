@@ -29,7 +29,7 @@ from .ingest import (
     load_raw_tensor,
     natural_key,
     save_raw_tensor,
-    write_text_atomic,
+    write_atomic,
 )
 from .kernels import ConvKernelBank, load_kernel_bank
 from .motion import downsample_volume
@@ -189,7 +189,7 @@ def _sample_one(args: argparse.Namespace, cfg: SamplerConfig, bank: ConvKernelBa
             export_outputs(plan, out_path, curve, curve_path)
             return None
         if curve_path is not None:
-            write_text_atomic(curve_path, curve_to_csv(curve))
+            write_atomic(curve_path, curve_to_csv(curve))
     except (MotionSampleError, OSError) as e:
         return str(e) if str(e).startswith(str(path)) else f"{path}: {e}"
     sys.stdout.write(plan_to_json(plan))
@@ -254,7 +254,7 @@ def _run_eval(args: argparse.Namespace) -> int:
     volume = generate_synthetic_video(spec)
     report = compare_strategies(volume, spec, cfg, args.representation)
     if args.out:
-        Path(args.out).write_text(report.to_json(), encoding="ascii")
+        write_atomic(args.out, report.to_json())
     else:
         sys.stdout.write(report.to_json())
     return EXIT_OK
@@ -278,7 +278,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         f"{args.representation:>8} {report.latency_mean_us:>12.1f} {report.latency_p95_us:>12.1f}"
     )
     if args.out:
-        Path(args.out).write_text(report.to_json(), encoding="ascii")
+        write_atomic(args.out, report.to_json())
     return EXIT_OK
 
 

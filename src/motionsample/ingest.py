@@ -156,7 +156,7 @@ def load_raw_tensor(path) -> FrameVolume:
 
 
 def save_raw_tensor(volume: FrameVolume, path) -> None:
-    """Write a frame volume as an MGVT file (round-trips bit-exactly)."""
+    """Write a frame volume as an MGVT file (round-trips bit-exactly), atomically."""
     tag = 0 if volume.frames.dtype == np.uint8 else 1
     header = _RAW_HEADER.pack(
         RAW_TENSOR_MAGIC,
@@ -168,30 +168,35 @@ def save_raw_tensor(volume: FrameVolume, path) -> None:
         tag,
     )
     payload = volume.frames.astype("<f4").tobytes() if tag else volume.frames.tobytes()
-    Path(path).write_bytes(header + payload)
+    write_atomic(path, header + payload)
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write ASCII text to a temporary file beside ``path``, then rename it into place.
+def write_atomic(path, data: str | bytes) -> None:
+    """Write ``data`` (ASCII text or bytes) to a temporary file beside ``path``, then rename it into place.
 
     A write that fails midway leaves ``path`` as it was and removes the
-    temporary file, so a reader never sees a partial output.
+    temporary file, so a reader never sees a partial output.  Every output
+    file of the package goes through here.
     """
+    if isinstance(data, str):
+        data = data.encode("ascii")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "w", encoding="ascii") as f:
-            f.write(text)
+        with open(tmp, "wb") as f:
+            f.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.filename == str(tmp) and e.filename2 is None:
+            e.filename = str(path)  # open() failed: name the output asked for, not the temporary file
         raise
 
 
 def export_outputs(plan: SamplePlan, plan_path, curve: CumulativeCurve | None = None, curve_path=None) -> None:
     """Write the plan JSON and, optionally, the curve CSV; both byte-stable and atomic."""
-    write_text_atomic(plan_path, plan_to_json(plan))
+    write_atomic(plan_path, plan_to_json(plan))
     if curve_path is not None:
         if curve is None:
             raise StructuralError("curve_path given but no curve to write")
-        write_text_atomic(curve_path, curve_to_csv(curve))
+        write_atomic(curve_path, curve_to_csv(curve))

@@ -69,9 +69,12 @@ def random_bank(channels: int = 1, seed: int = 0, stddev: float = 1.0 / 49.0) ->
 
 
 def save_kernel_bank(bank: ConvKernelBank, path) -> None:
+    """Write the bank as an MGKB weight file, atomically."""
+    from .ingest import write_atomic  # ingest imports this module through motion
+
     data = _WEIGHT_HEADER.pack(_WEIGHT_MAGIC, bank.channels)
     data += bank.kernels.astype("<f4").tobytes()
-    Path(path).write_bytes(data)
+    write_atomic(path, data)
 
 
 def load_kernel_bank(path) -> ConvKernelBank:

@@ -104,9 +104,11 @@ class SalienceVector:
 class MotionDistribution:
     """l1-normalized per-frame motion probabilities.
 
-    ``mu`` is the smoothing exponent relative to the raw normalized
-    distribution (1.0 means unsmoothed).  ``degenerate_uniform`` marks that
-    the all-zero-salience fallback produced a uniform distribution.
+    The instance owns a read-only copy of ``probs``; an array the constructor
+    did not create is copied.  ``mu`` is the smoothing exponent relative to
+    the raw normalized distribution (1.0 means unsmoothed).
+    ``degenerate_uniform`` marks that the all-zero-salience fallback produced
+    a uniform distribution.
     """
 
     probs: np.ndarray
@@ -115,6 +117,8 @@ class MotionDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
+        if p is self.probs:  # the caller's array: copy, so later writes to it cannot reach us
+            p = p.copy()
         if p.ndim != 1 or p.size < 1:
             raise StructuralError("distribution must be a non-empty 1-d vector")
         if np.any(p < 0) or not np.all(np.isfinite(p)):
@@ -127,6 +131,20 @@ class MotionDistribution:
     @property
     def t_count(self) -> int:
         return self.probs.size
+
+
+def _salience_vector(out: np.ndarray, frames: np.ndarray, representation: str) -> SalienceVector:
+    """Wrap scores computed from ``frames``; a non-finite score names the first non-finite frame.
+
+    Score t mixes frames t-1 and t, so its own index can point one frame
+    late; the frames are scanned only on this error path.
+    """
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = int(np.argmin(finite))  # argmin of a bool array: first False
+        frame = next((t for t in range(frames.shape[0]) if not np.isfinite(frames[t]).all()), bad)
+        raise StructuralError(f"salience entry {bad} (frame {frame}) must be finite and >= 0")
+    return SalienceVector(out, representation)
 
 
 def image_diff_salience(video: FrameVolume) -> SalienceVector:
@@ -147,7 +165,7 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
         np.abs(diff, out=diff)
         out[t] = diff.sum(dtype=np.float64)
         prev = cur
-    return SalienceVector(out, representation="image")
+    return _salience_vector(out, frames, "image")
 
 
 def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceVector:
@@ -176,7 +194,7 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
         diff = cur - prev
         out[t] = np.sqrt(np.square(diff).sum(axis=0)).sum()
         prev = cur
-    return SalienceVector(out, representation="feature")
+    return _salience_vector(out, frames, "feature")
 
 
 def normalize_salience(s: SalienceVector) -> MotionDistribution:

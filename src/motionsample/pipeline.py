@@ -19,8 +19,7 @@ from .sampling import (
     CumulativeCurve,
     SamplePlan,
     SamplerConfig,
-    build_curve,
-    mg_sample,
+    distribution_curve,
     sample_from_distribution,
 )
 
@@ -64,12 +63,9 @@ def sample_video(
     """Run the full sampling pipeline on one video.
 
     Returns the plan together with the smoothed distribution and its curve so
-    callers can export or inspect them without recomputation.
+    callers can export or inspect them without recomputation; an mg plan was
+    drawn from that very curve.
     """
     m = video_distribution(volume, cfg.mu, representation, bank)
-    curve = build_curve(m)
-    if cfg.strategy == "mg":
-        plan = mg_sample(curve, cfg, rng)
-    else:
-        plan = sample_from_distribution(m, cfg, rng)
-    return plan, curve, m
+    plan = sample_from_distribution(m, cfg, rng)
+    return plan, distribution_curve(m), m

@@ -12,8 +12,10 @@ All indices in sample plans are zero-based.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -110,18 +112,18 @@ class SamplePlan:
     window_start: int | None = None
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        idx = tuple(map(int, self.indices))
         if len(idx) != self.config.n_frames:
             raise StructuralError(
                 f"plan has {len(idx)} indices, config wants {self.config.n_frames}"
             )
-        if any(i < 0 for i in idx):
+        if min(idx) < 0:  # idx is not empty: n_frames >= 1
             raise StructuralError("frame indices must be >= 0")
-        if any(a > b for a, b in zip(idx, idx[1:])):
+        if not all(map(operator.le, idx, idx[1:])):
             raise StructuralError(f"indices must be non-decreasing, got {idx}")
         object.__setattr__(self, "indices", idx)
         if self.draws is not None:
-            object.__setattr__(self, "draws", tuple(float(y) for y in self.draws))
+            object.__setattr__(self, "draws", tuple(map(float, self.draws)))
 
 
 def build_curve(m: MotionDistribution) -> CumulativeCurve:
@@ -136,8 +138,32 @@ def build_curve(m: MotionDistribution) -> CumulativeCurve:
     return CumulativeCurve(f)
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
+def distribution_curve(m: MotionDistribution) -> CumulativeCurve:
+    """The curve of ``m``, built and validated once and kept on the frozen instance.
+
+    ``MotionDistribution`` owns a read-only copy of its probabilities, so the
+    kept curve cannot go stale.  Threads racing on a first call each build
+    the same curve and either one is kept.
+    """
+    curve = m.__dict__.get("_curve")
+    if curve is None:
+        curve = build_curve(m)
+        object.__setattr__(m, "_curve", curve)
+    return curve
+
+
+def _invert(curve: CumulativeCurve, ys: np.ndarray) -> np.ndarray:
+    """invert_curve over an array of y values in [0, 1]: zero-based indices, int64."""
+    f = curve.values
+    k = np.searchsorted(f, ys, side="left")  # 0 only for y = 0, since F_0 = 0
+    if not k.all():
+        k[k == 0] = np.searchsorted(f, 0.0, side="right")  # y = 0: the first rising anchor
+    lo = f[k - 1]
+    x = (k - 1) + (ys - lo) / (f[k] - lo)
+    r = np.floor(x + 0.5)
+    np.maximum(r, 1, out=r)
+    np.minimum(r, curve.t_count, out=r)
+    return r.astype(np.int64) - 1
 
 
 def invert_curve(curve: CumulativeCurve, y: float) -> int:
@@ -149,13 +175,7 @@ def invert_curve(curve: CumulativeCurve, y: float) -> int:
     """
     if not (0.0 <= y <= 1.0):
         raise ConfigError(f"y must lie in [0, 1], got {y!r}")
-    f = curve.values
-    if y <= 0.0:
-        k = int(np.argmax(f > 0.0))  # first rising anchor; exists since F_T = 1
-    else:
-        k = int(np.searchsorted(f, y, side="left"))
-    x = (k - 1) + (y - f[k - 1]) / (f[k] - f[k - 1])
-    return min(max(_round_half_up(x), 1), curve.t_count) - 1
+    return int(_invert(curve, np.array([y], dtype=np.float64))[0])
 
 
 def _resolve_rng(cfg: SamplerConfig, rng: np.random.Generator | None) -> np.random.Generator | None:
@@ -169,26 +189,48 @@ def _require_strategy(cfg: SamplerConfig, expected: str) -> None:
         raise ConfigError(f"config strategy is {cfg.strategy!r}, operation needs {expected!r}")
 
 
-def _interval_draws(n: int, rng: np.random.Generator | None) -> list[float]:
-    """One y per interval ((i-1)/N, i/N), endpoints excluded; midpoints when rng is None."""
+def _interval_draws(n: int, rng: np.random.Generator | None) -> np.ndarray:
+    """One y per interval (i/N, (i+1)/N), endpoints excluded; midpoints when rng is None.
+
+    ``rng.random(n)`` feeds ``lo + (hi - lo) * d``, the stream and the
+    expression of numpy's scalar ``uniform(lo, hi)``, so the draws equal N
+    scalar ``uniform`` calls.  A y on an endpoint (about N * 2**-53 per plan)
+    is redrawn from there on by the scalar rule, which keeps the stream too.
+    """
     if rng is None:
-        return [(2 * i - 1) / (2 * n) for i in range(1, n + 1)]
-    ys = []
-    for i in range(n):
-        lo, hi = i / n, (i + 1) / n
-        y = float(rng.uniform(lo, hi))
-        while not (lo < y < hi):  # uniform() may return its left endpoint
-            y = float(rng.uniform(lo, hi))
-        ys.append(y)
-    return ys
+        return (2 * np.arange(n) + 1) / (2 * n)
+    edges = np.arange(n + 1) / n
+    lo, hi = edges[:-1], edges[1:]
+    d = rng.random(n)
+    y = lo + (hi - lo) * d
+    inside = (lo < y) & (y < hi)
+    if not inside.all():
+        _redraw_from(int(np.argmin(inside)), y, lo, hi, d, rng)  # argmin: first False
+    return y
+
+
+def _redraw_from(first: int, y: np.ndarray, lo: np.ndarray, hi: np.ndarray, d: np.ndarray,
+                 rng: np.random.Generator) -> None:
+    """Redo intervals ``first``.. of y one scalar draw at a time, redrawing endpoint hits.
+
+    The doubles ``d`` already holds past ``first`` come first, in stream
+    order, and only then further doubles from ``rng``, so both the y values
+    and the number of doubles consumed match a loop of scalar draws.
+    """
+    doubles = itertools.chain(d[first:].tolist(), iter(rng.random, None))
+    for i in range(first, y.size):
+        a, b = float(lo[i]), float(hi[i])
+        v = a + (b - a) * next(doubles)
+        while not (a < v < b):
+            v = a + (b - a) * next(doubles)
+        y[i] = v
 
 
 def mg_sample(curve: CumulativeCurve, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> SamplePlan:
     """Motion-guided sampling: invert one draw per even y-interval."""
     _require_strategy(cfg, "mg")
     ys = _interval_draws(cfg.n_frames, _resolve_rng(cfg, rng))
-    indices = [invert_curve(curve, y) for y in ys]
-    return SamplePlan(tuple(indices), "mg", cfg, draws=tuple(ys))
+    return SamplePlan(_invert(curve, ys).tolist(), "mg", cfg, draws=ys.tolist())
 
 
 def segment_sample(t_count: int, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> SamplePlan:
@@ -198,13 +240,13 @@ def segment_sample(t_count: int, cfg: SamplerConfig, rng: np.random.Generator | 
         raise StructuralError(f"t_count must be >= 1, got {t_count}")
     rng = _resolve_rng(cfg, rng)
     n = cfg.n_frames
-    indices = []
-    for i in range(n):
-        lo = i * t_count / n
-        hi = (i + 1) * t_count / n
-        pos = lo + t_count / (2 * n) if rng is None else float(rng.uniform(lo, hi))
-        indices.append(min(math.floor(pos), t_count - 1))
-    return SamplePlan(tuple(indices), "segment", cfg)
+    edges = np.arange(n + 1) * t_count / n
+    lo, hi = edges[:-1], edges[1:]
+    if rng is None:
+        pos = lo + t_count / (2 * n)
+    else:
+        pos = lo + (hi - lo) * rng.random(n)  # uniform(lo, hi) per segment
+    return SamplePlan(np.minimum(np.floor(pos), t_count - 1).astype(np.int64).tolist(), "segment", cfg)
 
 
 def stride_sample(t_count: int, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> SamplePlan:
@@ -228,7 +270,7 @@ def topk_sample(m: MotionDistribution, cfg: SamplerConfig) -> SamplePlan:
             f"topk needs n_frames <= t_count, got {cfg.n_frames} > {m.t_count}"
         )
     top = np.argsort(-m.probs, kind="stable")[: cfg.n_frames]
-    return SamplePlan(tuple(sorted(int(i) for i in top)), "topk", cfg)
+    return SamplePlan(sorted(top.tolist()), "topk", cfg)
 
 
 def windowed_clip_sample(m: MotionDistribution, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> SamplePlan:
@@ -250,14 +292,17 @@ def windowed_clip_sample(m: MotionDistribution, cfg: SamplerConfig, rng: np.rand
         window_m = MotionDistribution(np.full(sub.size, 1.0 / sub.size), mu=m.mu, degenerate_uniform=True)
     curve = build_curve(window_m)
     ys = _interval_draws(cfg.n_frames, rng)
-    indices = [invert_curve(curve, y) + start for y in ys]
-    return SamplePlan(tuple(indices), "mg-clip", cfg, draws=tuple(ys), window_start=start)
+    indices = _invert(curve, ys) + start
+    return SamplePlan(indices.tolist(), "mg-clip", cfg, draws=ys.tolist(), window_start=start)
 
 
 def sample_from_distribution(m: MotionDistribution, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> SamplePlan:
-    """Dispatch on cfg.strategy over a ready (already smoothed) distribution."""
+    """Dispatch on cfg.strategy over a ready (already smoothed) distribution.
+
+    mg draws from the distribution's kept curve (``distribution_curve``).
+    """
     if cfg.strategy == "mg":
-        return mg_sample(build_curve(m), cfg, rng)
+        return mg_sample(distribution_curve(m), cfg, rng)
     if cfg.strategy == "segment":
         return segment_sample(m.t_count, cfg, rng)
     if cfg.strategy == "stride":

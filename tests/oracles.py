@@ -72,3 +72,73 @@ def shannon_entropy(probs) -> float:
     p = np.asarray(probs, dtype=np.float64)
     nz = p[p > 0]
     return float(-(nz * np.log(nz)).sum())
+
+
+# Scalar references for the sampler's draw path: one Python-level draw and one
+# searchsorted per pick, as the package drew before its draws were vectorized.
+
+
+def scalar_interval_draws(n: int, rng) -> list:
+    """One uniform(lo, hi) per interval (i/N, (i+1)/N), endpoint hits redrawn; midpoints without rng."""
+    if rng is None:
+        return [(2 * i - 1) / (2 * n) for i in range(1, n + 1)]
+    ys = []
+    for i in range(n):
+        lo, hi = i / n, (i + 1) / n
+        y = float(rng.uniform(lo, hi))
+        while not (lo < y < hi):
+            y = float(rng.uniform(lo, hi))
+        ys.append(y)
+    return ys
+
+
+def scalar_curve(probs) -> np.ndarray:
+    """Curve anchors with the package's arithmetic: 0, then the running sum, F_T pinned to 1."""
+    f = np.empty(len(probs) + 1, dtype=np.float64)
+    f[0] = 0.0
+    np.cumsum(probs, out=f[1:])
+    f[-1] = 1.0
+    np.minimum(f, 1.0, out=f)
+    return f
+
+
+def scalar_invert(f, y: float) -> int:
+    """Leftmost rising segment holding y, interpolated, rounded half-up, clamped; zero-based."""
+    if y <= 0.0:
+        k = int(np.argmax(f > 0.0))
+    else:
+        k = int(np.searchsorted(f, y, side="left"))
+    x = (k - 1) + (y - f[k - 1]) / (f[k] - f[k - 1])
+    return min(max(math.floor(x + 0.5), 1), f.size - 1) - 1
+
+
+def scalar_plan(probs, strategy: str, n: int, seed: int, deterministic: bool,
+                stride: int = 4, window_len: int = 32):
+    """(indices, draws or None, window_start or None) of one plan, drawn pick by pick."""
+    probs = np.asarray(probs, dtype=np.float64)
+    rng = None if deterministic else np.random.default_rng(seed)
+    t = probs.size
+    if strategy == "mg":
+        ys = scalar_interval_draws(n, rng)
+        f = scalar_curve(probs)
+        return [scalar_invert(f, y) for y in ys], ys, None
+    if strategy == "segment":
+        indices = []
+        for i in range(n):
+            lo, hi = i * t / n, (i + 1) * t / n
+            pos = lo + t / (2 * n) if rng is None else float(rng.uniform(lo, hi))
+            indices.append(min(math.floor(pos), t - 1))
+        return indices, None, None
+    if strategy == "stride":
+        start = 0 if rng is None else int(rng.integers(0, max(0, t - 1 - stride * (n - 1)) + 1))
+        return [min(start + stride * i, t - 1) for i in range(n)], None, None
+    if strategy == "topk":
+        return sorted(sorted(range(t), key=lambda k: (-probs[k], k))[:n]), None, None
+    assert strategy == "mg-clip", strategy
+    start = 0 if rng is None else int(rng.integers(0, max(0, t - window_len) + 1))
+    sub = probs[start : start + window_len]
+    total = float(sub.sum())
+    window = sub / total if total > 0.0 else np.full(sub.size, 1.0 / sub.size)
+    ys = scalar_interval_draws(n, rng)
+    f = scalar_curve(window)
+    return [scalar_invert(f, y) + start for y in ys], ys, start

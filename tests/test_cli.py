@@ -320,3 +320,44 @@ class TestGenCommand:
     def test_unwritable_out_is_input_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "v.mgvt"
         assert main(["gen", "--t-count", "4", "--out", str(out)]) == 2
+
+
+class TestAtomicOutputs:
+    """Every output file is renamed into place; a failed rename keeps the earlier file."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--t-count", "20", "--deterministic"],
+        ["bench", "--t-count", "8", "--height", "8", "--width", "8", "--videos", "1", "--reps", "1"],
+        ["gen", "--t-count", "4", "--height", "8", "--width", "8"],
+    ], ids=["eval", "bench", "gen"])
+    def test_failed_rename_keeps_earlier_output(self, tmp_path, capsys, monkeypatch, argv):
+        out = tmp_path / "out.file"
+        out.write_bytes(b"earlier")
+
+        def no_rename(src, dst):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "Input/output error" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_missing_directory_names_the_target(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "v.mgvt"
+        assert main(["gen", "--t-count", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_failed_rename_keeps_earlier_kernel_bank(self, tmp_path, monkeypatch):
+        out = tmp_path / "bank.mgkb"
+        save_kernel_bank(random_bank(1, seed=1), out)
+        earlier = out.read_bytes()
+
+        def no_rename(src, dst):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        with pytest.raises(OSError, match="Input/output error"):
+            save_kernel_bank(random_bank(1, seed=2), out)
+        assert out.read_bytes() == earlier
+        assert list(tmp_path.iterdir()) == [out]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from motionsample import motion
+from motionsample import motion, sampling
 from motionsample import (
     ConfigError,
     conv2d_apply,
@@ -220,7 +220,7 @@ class TestFeatureSkipsRepeats:
         # every frame repeats frame 0 byte for byte; only NaN != NaN keeps them apart
         frame = random_volume(rng, 1, dtype=np.float32).frames.copy()
         frame[0, 1, 2, 0] = np.nan
-        with pytest.raises(StructuralError, match=r"salience entry 1 \(frame 1\)"):
+        with pytest.raises(StructuralError, match=r"salience entry 1 \(frame 0\)"):
             feature_diff_salience(FrameVolume(np.repeat(frame, 3, axis=0)), random_bank(1))
 
 
@@ -241,6 +241,35 @@ class TestSalienceVector:
     def test_error_names_first_offending_frame(self, bad):
         with pytest.raises(StructuralError, match=r"^salience entry 3 \(frame 3\) must be finite"):
             SalienceVector(np.array([0.0, 1.0, 2.0, bad, np.nan]), "image")
+
+
+class TestNonFiniteFrameNamed:
+    @pytest.mark.parametrize("representation", ["image", "feature"])
+    @pytest.mark.parametrize("frame, entry, bad", [(0, 1, np.nan), (0, 1, np.inf), (4, 4, np.nan), (4, 4, -np.inf)])
+    def test_error_names_first_frame_holding_the_value(self, rng, representation, frame, entry, bad):
+        frames = random_volume(rng, 6, dtype=np.float32).frames.copy()
+        frames[frame, 1, 2, 0] = bad
+        with pytest.raises(StructuralError, match=rf"^salience entry {entry} \(frame {frame}\) must be finite"):
+            if representation == "image":
+                image_diff_salience(FrameVolume(frames))
+            else:
+                feature_diff_salience(FrameVolume(frames), random_bank(1))
+
+
+class TestMotionDistributionOwnsProbs:
+    def test_later_writes_to_the_callers_array_do_not_reach_it(self):
+        base = np.array([0.1, 0.2, 0.3, 0.4])
+        for m in (MotionDistribution(base[:]), MotionDistribution(base)):
+            before = sampling.distribution_curve(m).values.tolist()
+            base[0] = 0.9
+            assert m.probs.tolist() == [0.1, 0.2, 0.3, 0.4]
+            assert sampling.distribution_curve(m).values.tolist() == before
+            base[0] = 0.1
+
+    def test_probs_are_read_only(self):
+        m = MotionDistribution([0.5, 0.5])
+        with pytest.raises(ValueError):
+            m.probs[0] = 1.0
 
 
 class TestNormalizeSalience:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motionsample import (
+    STRATEGIES,
     ConfigError,
     CumulativeCurve,
+    FrameVolume,
     MotionDistribution,
     SamplePlan,
     SamplerConfig,
@@ -19,6 +22,7 @@ from motionsample import (
     mg_sample,
     plan_to_json,
     sample_from_distribution,
+    sample_video,
     segment_sample,
     stride_sample,
     topk_sample,
@@ -26,8 +30,9 @@ from motionsample import (
     windowed_clip_sample,
     with_strategy,
 )
+from motionsample import sampling
 from conftest import random_distribution
-from oracles import brute_force_invert
+from oracles import brute_force_invert, scalar_interval_draws, scalar_plan
 
 
 def dist(*probs):
@@ -403,3 +408,115 @@ class TestSerialization:
         lines = csv_text.strip().split("\n")
         assert lines[0] == "frame,cumulative"
         assert len(lines) == t + 2
+
+
+def reference_json(cfg, indices, draws) -> str:
+    obj = {
+        "strategy": cfg.strategy,
+        "seed": cfg.seed,
+        "mu": cfg.mu,
+        "n_frames": cfg.n_frames,
+        "indices": list(indices),
+        "draws": list(draws) if draws is not None else [],
+    }
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def plateau_distribution(t):
+    """Mass on a few frames with zero-probability runs between them."""
+    probs = np.zeros(t)
+    for k, w in zip((t // 3, t // 3 + 1, t - 1), (2.0, 3.0, 4.0)):
+        probs[min(k, t - 1)] += w
+    return MotionDistribution(probs / probs.sum())
+
+
+class TestVectorDrawsMatchScalarReference:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_plans_equal_reference_byte_for_byte(self, strategy, rng):
+        for t in (1, 2, 16, 4096):
+            for m in (uniform_dist(t), random_distribution(rng, t), plateau_distribution(t)):
+                for n in (1, 2, 3, 8, 32, 100):
+                    if strategy == "topk" and n > t:
+                        continue
+                    for seed, det in ((0, True), (0, False), (7, False), (2**64 - 1, False)):
+                        window = 32 if seed % 2 else 5
+                        cfg = cfg_for(strategy, n, seed=seed, deterministic=det, window_len=window)
+                        plan = sample_from_distribution(m, cfg, make_rng(seed))
+                        indices, draws, start = scalar_plan(m.probs, strategy, n, seed, det, window_len=window)
+                        assert plan_to_json(plan) == reference_json(cfg, indices, draws)
+                        assert plan.window_start == start
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_endpoint_redraws_follow_scalar_rule(self, n):
+        top = math.nextafter(1.0, 0.0)  # lands on hi in every interval but the first
+        script = [0.0, 0.25, top, 0.0, 0.0, 0.5, top, 0.75] * 3 + [0.1] * 3 * n
+        vector_rng, scalar_rng = ScriptedRng(script), ScriptedRng(script)
+        plan = mg_sample(build_curve(uniform_dist(64)), cfg_for("mg", n), vector_rng)
+        assert list(plan.draws) == scalar_interval_draws(n, scalar_rng)
+        assert vector_rng.consumed == scalar_rng.consumed > n
+
+    def test_no_redraw_takes_exactly_n_doubles(self):
+        stub = ScriptedRng([0.5] * 8)
+        mg_sample(build_curve(uniform_dist(8)), cfg_for("mg", 8), stub)
+        assert stub.consumed == 8
+
+
+class ScriptedRng:
+    """A stand-in generator returning scripted doubles; uniform() uses numpy's scalar formula."""
+
+    def __init__(self, doubles):
+        self.doubles = list(doubles)
+        self.consumed = 0
+
+    def _next(self) -> float:
+        if self.consumed == len(self.doubles):
+            raise AssertionError("script exhausted")
+        self.consumed += 1
+        return self.doubles[self.consumed - 1]
+
+    def random(self, size=None):
+        if size is None:
+            return self._next()
+        return np.array([self._next() for _ in range(size)])
+
+    def uniform(self, low, high):
+        return low + (high - low) * self._next()
+
+
+class TestCurvePerDistribution:
+    @pytest.fixture
+    def build_calls(self, monkeypatch):
+        calls = []
+        real = sampling.build_curve
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(sampling, "build_curve", counting)
+        return calls
+
+    def test_repeated_mg_draws_build_the_curve_once(self, rng, build_calls):
+        m = random_distribution(rng, 40)
+        plans = [sample_from_distribution(m, cfg_for("mg", 8, seed=s)) for s in range(6)]
+        assert len(build_calls) == 1
+        assert plans[0] != plans[1]  # the draws still differ
+        expected = mg_sample(sampling.build_curve(m), cfg_for("mg", 8, seed=3))
+        assert plan_to_json(plans[3]) == plan_to_json(expected)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_sample_video_returns_the_curve_it_drew_from(self, rng, build_calls, monkeypatch, strategy):
+        drawn_from = []
+        real_mg = sampling.mg_sample
+
+        def spy(curve, cfg, rng=None):
+            drawn_from.append(curve)
+            return real_mg(curve, cfg, rng)
+
+        monkeypatch.setattr(sampling, "mg_sample", spy)
+        volume = FrameVolume(rng.integers(0, 256, (40, 6, 5, 1), dtype=np.uint8))
+        plan, curve, m = sample_video(volume, cfg_for(strategy, 4, seed=2))
+        assert len(build_calls) == (2 if strategy == "mg-clip" else 1)  # mg-clip adds its window's
+        assert curve.values.tolist() == build_curve(m).values.tolist()
+        if strategy == "mg":
+            assert drawn_from == [curve] and drawn_from[0] is curve
