@@ -1,0 +1,178 @@
+"""Byte-identity check: CLI outputs on a fixed corpus against committed sha256 digests.
+
+Every input is built here from numpy seeds: a PPM frame directory, uint8 and
+float32 MGVT files, an all-static clip, a clip holding a NaN and a ``--batch``
+root.  Each case runs ``motionsample.cli.main`` in-process and records the
+sha256 of its exit code, stdout, stderr and every file it wrote; the corpus
+root is replaced by ``ROOT`` in stdout and stderr first.  The digests live in
+``golden_digests.json`` beside this file.
+
+Left out on purpose: curve CSVs of float32 input under
+``--representation feature`` and ``eval --representation feature`` (whose
+synthetic video is float32).  Their float64 sums run through BLAS dgemm, so
+their last bits depend on the kernel OpenBLAS picks for the CPU; the oracle
+tolerances in the other tests cover them.
+
+Regenerate the digests (only for a change meant to alter outputs) with
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from motionsample import FrameVolume, random_bank, save_kernel_bank, save_raw_tensor
+from motionsample.cli import main
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+STRATEGIES = ("mg", "segment", "stride", "topk", "mg-clip")
+
+# name -> (input flag, relative path, channels, float32 feature input)
+INPUTS = {
+    "ppm": ("--frames-dir", "ppm", 3, False),
+    "u8": ("--raw-tensor", "u8.mgvt", 1, False),
+    "f32": ("--raw-tensor", "f32.mgvt", 3, True),
+    "static": ("--raw-tensor", "static.mgvt", 1, False),
+}
+VARIANTS = {
+    "default": ["--seed", "7"],
+    "deterministic": ["--deterministic"],
+    "mu2-ds2": ["--mu", "2", "--downsample", "2", "--seed", "11", "--num-frames", "5"],
+    "feature": ["--representation", "feature", "--seed", "3"],
+}
+
+
+def _write_ppm_dir(d: Path, frames: np.ndarray) -> None:
+    d.mkdir()
+    h, w = frames.shape[1:3]
+    for t, frame in enumerate(frames):
+        (d / f"frame{t + 1}.ppm").write_bytes(b"P6\n%d %d\n255\n" % (w, h) + frame.tobytes())
+
+
+def _moving_u8(rng, t, h, w, c) -> np.ndarray:
+    """Random frames with runs of exact repeats and one 0/255 extreme pair."""
+    frames = rng.integers(0, 256, size=(t, h, w, c), dtype=np.uint8)
+    for i in range(2, t, 5):
+        frames[i] = frames[i - 1]
+    frames[t // 2] = 0
+    frames[t // 2 + 1] = 255
+    return frames
+
+
+def build_corpus(root: Path) -> None:
+    rng = np.random.default_rng(20261018)
+    _write_ppm_dir(root / "ppm", _moving_u8(rng, 24, 16, 16, 3))
+    save_raw_tensor(FrameVolume(_moving_u8(rng, 40, 12, 12, 1)), root / "u8.mgvt")
+    f32 = rng.uniform(0, 255, size=(32, 10, 10, 3)).astype(np.float32)
+    f32[5] = f32[4]
+    save_raw_tensor(FrameVolume(f32), root / "f32.mgvt")
+    static = np.repeat(rng.integers(0, 256, size=(1, 8, 8, 1), dtype=np.uint8), 12, axis=0)
+    save_raw_tensor(FrameVolume(static), root / "static.mgvt")
+    nan = rng.uniform(0, 255, size=(6, 8, 8, 1)).astype(np.float32)
+    nan[4, 1, 2, 0] = np.nan
+    save_raw_tensor(FrameVolume(nan), root / "nan.mgvt")
+    batch = root / "batch"
+    batch.mkdir()
+    _write_ppm_dir(batch / "clip2", _moving_u8(rng, 20, 8, 8, 3))
+    _write_ppm_dir(batch / "clip10", _moving_u8(rng, 36, 8, 8, 3))
+    save_raw_tensor(FrameVolume(_moving_u8(rng, 28, 8, 8, 3)), batch / "clip3.mgvt")
+    f32b = rng.uniform(0, 255, size=(18, 8, 8, 3)).astype(np.float32)
+    save_raw_tensor(FrameVolume(f32b), batch / "clip4.mgvt")
+    for c in (1, 3):
+        save_kernel_bank(random_bank(c, seed=5 + c), root / f"bank{c}.mgkb")
+
+
+def _cases() -> dict[str, tuple[list[str], list[str]]]:
+    """case id -> (argv with ROOT and OUT placeholders, written files to hash)."""
+    cases = {}
+    for name, (flag, rel, c, f32) in INPUTS.items():
+        for variant, extra in VARIANTS.items():
+            weights = ["--weights", f"ROOT/bank{c}.mgkb"] if variant == "feature" else []
+            for s in STRATEGIES:
+                argv = ["sample", flag, f"ROOT/{rel}", "--strategy", s, *extra, *weights,
+                        "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
+                files = ["plan.json"] if f32 and variant == "feature" else ["plan.json", "curve.csv"]
+                cases[f"sample-{name}-{variant}-{s}"] = (argv, files)
+        cases[f"stdout-{name}"] = (["sample", flag, f"ROOT/{rel}", "--num-frames", "6", "--seed", "5"], [])
+    batch_plans = [f"clip{i}.plan.json" for i in (2, 3, 4, 10)]
+    for variant, extra in VARIANTS.items():
+        weights = ["--weights", "ROOT/bank3.mgkb"] if variant == "feature" else []
+        for s in STRATEGIES:
+            argv = ["sample", "--batch", "--frames-dir", "ROOT/batch", "--strategy", s, *extra,
+                    *weights, "--out", "OUT"]
+            cases[f"batch-{variant}-{s}"] = (argv, batch_plans)
+    cases["error-nan-frame"] = (["sample", "--raw-tensor", "ROOT/nan.mgvt"], [])
+    cases["error-topk-too-few"] = (["sample", "--raw-tensor", "ROOT/static.mgvt",
+                                    "--strategy", "topk", "--num-frames", "20"], [])
+    cases["error-channel-mismatch"] = (["sample", "--frames-dir", "ROOT/ppm", "--representation",
+                                        "feature", "--weights", "ROOT/bank1.mgkb"], [])
+    synth = ["--t-count", "60", "--height", "16", "--width", "16", "--channels", "3",
+             "--burst", "10:19:4", "--burst", "40:44:9", "--noise", "2", "--gen-seed", "4"]
+    cases["eval-stdout"] = (["eval", *synth, "--seed", "9"], [])
+    cases["eval-file"] = (["eval", *synth, "--mu", "2", "--deterministic", "--out", "OUT/report.json"],
+                          ["report.json"])
+    cases["gen"] = (["gen", *synth, "--out", "OUT/g.mgvt"], ["g.mgvt"])
+    return cases
+
+
+CASES = _cases()
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(root: Path, out: Path, case: str) -> dict[str, str]:
+    """Run one case with outputs under ``out`` (created here); artifact name -> sha256."""
+    argv, files = CASES[case]
+    out.mkdir(parents=True)
+    argv = [a.replace("ROOT", str(root)).replace("OUT", str(out)) for a in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+
+    def scrub(text: str) -> bytes:
+        return text.replace(str(out), "OUT").replace(str(root), "ROOT").encode()
+
+    digests = {"exit": _sha(str(code).encode()), "stdout": _sha(scrub(stdout.getvalue())),
+               "stderr": _sha(scrub(stderr.getvalue()))}
+    for name in files:
+        digests[name] = _sha((out / name).read_bytes())
+    return digests
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    build_corpus(root)
+    return root
+
+
+def test_digest_file_covers_every_case():
+    assert sorted(json.loads(DIGESTS.read_text())) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_committed_digests(corpus, tmp_path, case):
+    expected = json.loads(DIGESTS.read_text())[case]
+    assert run_case(corpus, tmp_path / "out", case) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "corpus"
+        root.mkdir()
+        build_corpus(root)
+        digests = {case: run_case(root, Path(tmp) / "out" / case, case) for case in sorted(CASES)}
+    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} cases to {DIGESTS}", file=sys.stderr)
