@@ -151,20 +151,35 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
     """Summed absolute pixel difference between consecutive frames.
 
     Channels count as extra spatial extent: for C=3 the absolute differences
-    of all three channels are summed.  Differences are taken in a widened
-    signed type (uint8 cannot wrap) and accumulated in float64.  Frames are
-    processed pairwise, so scratch memory stays at one frame regardless of T.
+    of all three channels are summed.
+
+    uint8 frames are differenced as max - min in uint8, which cannot wrap,
+    into two reused frame buffers, and summed by an integer accumulator
+    (uint32 while 255*H*W*C fits it, else uint64).  Every score is then an
+    exact integer below 2**53, so its float64 value does not depend on the
+    summation order.  float32 frames are widened to float64, differenced
+    and summed in float64.  Frames are processed pairwise, so scratch memory
+    stays at two frames regardless of T.
     """
     frames = video.frames
-    widened = np.int16 if frames.dtype == np.uint8 else np.float64
     out = np.zeros(video.t_count, dtype=np.float64)
-    prev = frames[0].astype(widened)
-    for t in range(1, video.t_count):
-        cur = frames[t].astype(widened)
-        diff = cur - prev
-        np.abs(diff, out=diff)
-        out[t] = diff.sum(dtype=np.float64)
-        prev = cur
+    if frames.dtype == np.uint8:
+        hi, lo = np.empty_like(frames[0]), np.empty_like(frames[0])
+        acc = np.uint32 if 255 * hi.size < 2**32 else np.uint64
+        for t in range(1, video.t_count):
+            np.maximum(frames[t], frames[t - 1], out=hi)
+            np.minimum(frames[t], frames[t - 1], out=lo)
+            np.subtract(hi, lo, out=hi)
+            out[t] = hi.sum(dtype=acc)
+        return SalienceVector(out, "image")  # uint8 scores are always finite
+    prev = frames[0].astype(np.float64)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the error below names the frame
+        for t in range(1, video.t_count):
+            cur = frames[t].astype(np.float64)
+            diff = cur - prev
+            np.abs(diff, out=diff)
+            out[t] = diff.sum(dtype=np.float64)
+            prev = cur
     return _salience_vector(out, frames, "image")
 
 
@@ -178,7 +193,9 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     A frame bit-identical to its predecessor is not convolved: its feature map
     would equal the cached one, so its salience is exactly 0 and the cost of a
     clip scales with its changed frames.  A frame holding NaN never compares
-    equal, so it is convolved and rejected as non-finite.
+    equal, so it is convolved and rejected as non-finite.  An infinity does
+    compare equal, so the first feature map is checked directly: a clip whose
+    frame 0 holds one is rejected even when every later frame repeats it.
     """
     if bank.channels != video.channels:
         raise ConfigError(
@@ -187,13 +204,16 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     frames = video.frames
     out = np.zeros(video.t_count, dtype=np.float64)
     prev = conv2d_apply(frames[0], bank)
-    for t in range(1, video.t_count):
-        if np.array_equal(frames[t], frames[t - 1]):
-            continue
-        cur = conv2d_apply(frames[t], bank)
-        diff = cur - prev
-        out[t] = np.sqrt(np.square(diff).sum(axis=0)).sum()
-        prev = cur
+    if video.t_count > 1 and not np.isfinite(prev).all():
+        raise StructuralError("salience entry 1 (frame 0) must be finite and >= 0")
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the error below names the frame
+        for t in range(1, video.t_count):
+            if np.array_equal(frames[t], frames[t - 1]):
+                continue
+            cur = conv2d_apply(frames[t], bank)
+            diff = cur - prev
+            out[t] = np.sqrt(np.square(diff).sum(axis=0)).sum()
+            prev = cur
     return _salience_vector(out, frames, "feature")
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,68 @@ class TestImageDiffSalience:
         m, m2 = normalize_salience(s), normalize_salience(s2)
         np.testing.assert_allclose(m2.probs, m.probs, atol=1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(
+            np.uint8,
+            st.tuples(
+                st.integers(1, 6), st.integers(1, 5), st.integers(1, 5), st.sampled_from([1, 3])
+            ),
+        )
+    )
+    def test_uint8_bitwise_equal_to_loop_oracle(self, data):
+        s = image_diff_salience(FrameVolume(data)).values
+        assert s.tobytes() == loop_image_salience(data).tobytes()
+
+
+def int64_diff_sum(a, b, block=1 << 20) -> int:
+    """sum |a - b| over two uint8 frames in int64, a block of pixels at a time."""
+    a, b = a.ravel(), b.ravel()
+    return sum(
+        int(np.abs(a[i : i + block].astype(np.int64) - b[i : i + block]).sum())
+        for i in range(0, a.size, block)
+    )
+
+
+class TestUint8Accumulator:
+    """Scores near and past 2**32, where the integer accumulator widens to uint64."""
+
+    @pytest.mark.parametrize("shape, expected", [
+        ((257, 65537, 1), 2**32 - 1),  # 255*H*W*C = 2**32 - 1: the largest uint32 frame
+        ((4200, 4200, 1), 255 * 4200 * 4200),  # past 2**32: needs uint64
+    ])
+    def test_extreme_contrast_pair(self, shape, expected):
+        frames = np.zeros((2, *shape), dtype=np.uint8)
+        frames[1] = 255
+        s = image_diff_salience(FrameVolume(frames)).values
+        assert int64_diff_sum(frames[1], frames[0]) == expected
+        assert s.tolist() == [0.0, float(expected)]
+
+    def test_large_random_pair_equals_int64_reference(self, rng):
+        frames = rng.integers(0, 256, size=(2, 2400, 2400, 3), dtype=np.uint8)
+        frames[1, ::2] = 255 - frames[0, ::2]
+        s = image_diff_salience(FrameVolume(frames)).values
+        assert 255 * frames[0].size > 2**32
+        assert s[1] == float(int64_diff_sum(frames[1], frames[0]))
+
+
+class TestNonFiniteWithoutWarnings:
+    """numpy's RuntimeWarning for inf - inf must not leak ahead of the StructuralError."""
+
+    @pytest.mark.parametrize("representation", ["image", "feature"])
+    @pytest.mark.parametrize("frames_with_inf", [(0, 1, 2, 3, 4), (3, 4)])
+    def test_raises_structural_error_only(self, rng, representation, frames_with_inf):
+        frames = random_volume(rng, 5, h=8, w=8, dtype=np.float32).frames.copy()
+        frames[list(frames_with_inf), 1, 2, 0] = np.inf
+        first = frames_with_inf[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructuralError, match=rf"^salience entry {max(first, 1)} \(frame {first}\)"):
+                if representation == "image":
+                    image_diff_salience(FrameVolume(frames))
+                else:
+                    feature_diff_salience(FrameVolume(frames), random_bank(1))
+
 
 class TestFeatureDiffSalience:
     def test_identity_bank_matches_image_diff(self, rng):
@@ -222,6 +286,21 @@ class TestFeatureSkipsRepeats:
         frame[0, 1, 2, 0] = np.nan
         with pytest.raises(StructuralError, match=r"salience entry 1 \(frame 0\)"):
             feature_diff_salience(FrameVolume(np.repeat(frame, 3, axis=0)), random_bank(1))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_all_repeat_clip_with_non_finite_frame_0_raises(self, rng, bad):
+        # inf == inf, so every later frame is skipped; only the frame-0 check sees it
+        frame = random_volume(rng, 1, h=8, w=8, dtype=np.float32).frames.copy()
+        frame[0, 1, 2, 0] = bad
+        video = FrameVolume(np.repeat(frame, 5, axis=0))
+        for salience in (image_diff_salience, lambda v: feature_diff_salience(v, random_bank(1))):
+            with pytest.raises(StructuralError, match=r"^salience entry 1 \(frame 0\) must be finite"):
+                salience(video)
+
+    def test_single_frame_clip_has_no_entry_to_reject(self, rng):
+        frame = random_volume(rng, 1, dtype=np.float32).frames.copy()
+        frame[0, 0, 0, 0] = np.inf
+        assert feature_diff_salience(FrameVolume(frame), random_bank(1)).values.tolist() == [0.0]
 
 
 class TestSalienceVector:
