@@ -159,7 +159,7 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
     exact integer below 2**53, so its float64 value does not depend on the
     summation order.  float32 frames are widened to float64, differenced
     and summed in float64.  Frames are processed pairwise, so scratch memory
-    stays at two frames regardless of T.
+    does not grow with T.
     """
     frames = video.frames
     out = np.zeros(video.t_count, dtype=np.float64)
@@ -171,15 +171,15 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
             np.minimum(frames[t], frames[t - 1], out=lo)
             np.subtract(hi, lo, out=hi)
             out[t] = hi.sum(dtype=acc)
-        return SalienceVector(out, "image")  # uint8 scores are always finite
-    prev = frames[0].astype(np.float64)
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the error below names the frame
-        for t in range(1, video.t_count):
-            cur = frames[t].astype(np.float64)
-            diff = cur - prev
-            np.abs(diff, out=diff)
-            out[t] = diff.sum(dtype=np.float64)
-            prev = cur
+    else:
+        prev = frames[0].astype(np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the error below names the frame
+            for t in range(1, video.t_count):
+                cur = frames[t].astype(np.float64)
+                diff = cur - prev
+                np.abs(diff, out=diff)
+                out[t] = diff.sum(dtype=np.float64)
+                prev = cur
     return _salience_vector(out, frames, "image")
 
 
