@@ -15,7 +15,6 @@ from .evalbench import (
     burst_coverage,
     compare_strategies,
     generate_synthetic_video,
-    latency_benchmark,
     salience_mass_in_bursts,
 )
 from .ingest import (
@@ -98,7 +97,6 @@ __all__ = [
     "identity_bank",
     "image_diff_salience",
     "invert_curve",
-    "latency_benchmark",
     "load_frame_directory",
     "load_kernel_bank",
     "load_raw_tensor",

@@ -1,8 +1,8 @@
 """Command-line front-end.
 
 Subcommands: ``sample`` (pick frames from a video on disk), ``eval``
-(synthetic strategy comparison), ``bench`` (latency benchmark), ``gen``
-(write a synthetic video as an MGVT raw tensor).
+(synthetic strategy comparison), ``gen`` (write a synthetic video as an MGVT
+raw tensor).
 
 Exit codes: 0 success, 1 usage error, 2 input/format error.  Runs are
 byte-reproducible given --seed (or --deterministic) and identical inputs.
@@ -17,12 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError, MotionSampleError
-from .evalbench import (
-    SyntheticSpec,
-    compare_strategies,
-    generate_synthetic_video,
-    latency_benchmark,
-)
+from .evalbench import SyntheticSpec, compare_strategies, generate_synthetic_video
 from .ingest import (
     export_outputs,
     load_frame_directory,
@@ -106,16 +101,6 @@ def _build_parser() -> _Parser:
     _add_sampler_flags(ev)
     ev.add_argument("--out", metavar="FILE", help="report JSON path (default: stdout)")
 
-    bench = sub.add_parser("bench", help="latency benchmark on synthetic videos")
-    _add_synth_flags(bench, t_default=160)
-    bench.add_argument("--videos", type=int, default=4)
-    bench.add_argument("--reps", type=int, default=10)
-    bench.add_argument("--warmup", type=int, default=2)
-    bench.add_argument("--representation", choices=("image", "feature"), default="image")
-    bench.add_argument("--parallel", action="store_true")
-    _add_sampler_flags(bench)
-    bench.add_argument("--out", metavar="FILE", help="report JSON path")
-
     gen = sub.add_parser("gen", help="write a synthetic video as an MGVT raw tensor")
     _add_synth_flags(gen, t_default=100)
     gen.add_argument("--out", metavar="FILE", required=True)
@@ -152,20 +137,14 @@ def _parse_bursts(args: argparse.Namespace) -> tuple[tuple[int, int, float], ...
     return tuple(bursts)
 
 
-def _synthetic_spec(args: argparse.Namespace, default_burst: bool = False) -> SyntheticSpec:
-    bursts = _parse_bursts(args)
-    if not bursts and default_burst:
-        # One burst over the middle fifth keeps benchmark salience non-trivial.
-        start = args.t_count // 3
-        end = min(args.t_count - 1, start + max(0, args.t_count // 5 - 1))
-        bursts = ((start, end, 8.0),)
+def _synthetic_spec(args: argparse.Namespace) -> SyntheticSpec:
     try:
         return SyntheticSpec(
             t_count=args.t_count,
             height=args.height,
             width=args.width,
             channels=args.channels,
-            bursts=bursts,
+            bursts=_parse_bursts(args),
             background=args.background,
             noise=args.noise,
             seed=args.gen_seed,
@@ -260,28 +239,6 @@ def _run_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    if args.videos < 1 or args.reps < 1 or args.warmup < 0:
-        raise _UsageError("motionsample bench: error: --videos/--reps must be >= 1, --warmup >= 0")
-    cfg = _sampler_config(args)
-    base = _synthetic_spec(args, default_burst=True)
-    volumes = [
-        generate_synthetic_video(replace(base, seed=video_seed(base.seed, i)))
-        for i in range(args.videos)
-    ]
-    report = latency_benchmark(
-        volumes, cfg, args.reps, args.warmup, args.representation, parallel=args.parallel
-    )
-    print(f"{'videos':>8} {'reps':>6} {'warmup':>7} {'strategy':>9} {'repr':>8} {'mean_us':>12} {'p95_us':>12}")
-    print(
-        f"{args.videos:>8} {args.reps:>6} {args.warmup:>7} {cfg.strategy:>9} "
-        f"{args.representation:>8} {report.latency_mean_us:>12.1f} {report.latency_p95_us:>12.1f}"
-    )
-    if args.out:
-        write_atomic(args.out, report.to_json())
-    return EXIT_OK
-
-
 def _run_gen(args: argparse.Namespace) -> int:
     spec = _synthetic_spec(args)
     volume = generate_synthetic_video(spec)
@@ -295,7 +252,6 @@ def _run_gen(args: argparse.Namespace) -> int:
 _HANDLERS = {
     "sample": _run_sample,
     "eval": _run_eval,
-    "bench": _run_bench,
     "gen": _run_gen,
 }
 

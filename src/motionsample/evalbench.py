@@ -1,4 +1,4 @@
-"""Synthetic burst videos, strategy comparison, and the latency benchmark.
+"""Synthetic burst videos and strategy comparison.
 
 The generator plants motion bursts with analytically exact salience: every
 frame inside a burst toggles one block in a cycling grid of disjoint slots,
@@ -10,8 +10,6 @@ are identical.
 from __future__ import annotations
 
 import json
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, StructuralError
 from .kernels import ConvKernelBank
 from .motion import FrameVolume, MotionDistribution
-from .pipeline import sample_video, video_distribution
+from .pipeline import video_distribution
 from .sampling import SamplePlan, SamplerConfig, make_rng, sample_from_distribution, with_strategy
 
 COMPARED_STRATEGIES = ("mg", "segment", "stride", "topk")
@@ -74,12 +72,10 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Per-strategy burst coverage plus optional latency statistics."""
+    """Per-strategy burst coverage and the distribution's mass inside the bursts."""
 
     coverage: dict[str, float]
     salience_mass_in_bursts: float | None = None
-    latency_mean_us: float | None = None
-    latency_p95_us: float | None = None
 
     def __post_init__(self):
         for name, frac in self.coverage.items():
@@ -90,8 +86,6 @@ class CoverageReport:
         obj = {
             "coverage": dict(sorted(self.coverage.items())),
             "salience_mass_in_bursts": self.salience_mass_in_bursts,
-            "latency_mean_us": self.latency_mean_us,
-            "latency_p95_us": self.latency_p95_us,
         }
         return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -179,59 +173,3 @@ def compare_strategies(
         coverage[strategy] = burst_coverage(plan, spec)
     return CoverageReport(coverage=coverage, salience_mass_in_bursts=salience_mass_in_bursts(m, spec))
 
-
-def _timed_runs(
-    volume: FrameVolume,
-    cfg: SamplerConfig,
-    repetitions: int,
-    warmup: int,
-    representation: str,
-    bank: ConvKernelBank | None,
-) -> list[float]:
-    times_us = []
-    for rep in range(warmup + repetitions):
-        rng = make_rng(cfg.seed)
-        start = time.perf_counter()
-        sample_video(volume, cfg, representation, bank, rng)
-        elapsed = time.perf_counter() - start
-        if rep >= warmup:
-            times_us.append(elapsed * 1e6)
-    return times_us
-
-
-def latency_benchmark(
-    volumes: list[FrameVolume],
-    cfg: SamplerConfig,
-    repetitions: int,
-    warmup: int = 1,
-    representation: str = "image",
-    bank: ConvKernelBank | None = None,
-    parallel: bool = False,
-) -> CoverageReport:
-    """Wall-clock time of the in-memory pipeline (no disk I/O) per video.
-
-    Warm-up runs are discarded; mean and p95 are taken over all remaining
-    (video, repetition) timings, in microseconds.  ``parallel`` fans videos
-    out to a thread pool, which speeds up batches but loosens the numbers.
-    """
-    if repetitions < 1:
-        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
-    if warmup < 0:
-        raise ConfigError(f"warmup must be >= 0, got {warmup}")
-    if not volumes:
-        raise StructuralError("no volumes to benchmark")
-
-    def runs(volume: FrameVolume) -> list[float]:
-        return _timed_runs(volume, cfg, repetitions, warmup, representation, bank)
-
-    if parallel and len(volumes) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(volumes))) as pool:
-            per_video = list(pool.map(runs, volumes))
-    else:
-        per_video = [runs(v) for v in volumes]
-    times = np.concatenate(per_video)
-    return CoverageReport(
-        coverage={},
-        latency_mean_us=float(times.mean()),
-        latency_p95_us=float(np.percentile(times, 95)),
-    )

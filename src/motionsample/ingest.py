@@ -96,17 +96,17 @@ def _parse_pnm(data: bytes, name: str) -> tuple[np.ndarray, int]:
     return pixels, channels
 
 
-def load_frame_directory(path, extensions: tuple[str, ...] = _PNM_EXTENSIONS) -> tuple[FrameVolume, VideoManifest]:
+def load_frame_directory(path) -> tuple[FrameVolume, VideoManifest]:
     """Load every PGM/PPM frame under ``path`` in natural filename order."""
     root = Path(path)
     if not root.is_dir():
         raise StructuralError(f"{root}: not a directory")
     names = sorted(
-        (p.name for p in root.iterdir() if p.is_file() and p.suffix.lower() in extensions),
+        (p.name for p in root.iterdir() if p.is_file() and p.suffix.lower() in _PNM_EXTENSIONS),
         key=natural_key,
     )
     if not names:
-        raise StructuralError(f"{root}: no frames with extensions {extensions} found")
+        raise StructuralError(f"{root}: no frames with extensions {_PNM_EXTENSIONS} found")
     frames = None  # allocated once the first frame gives the shape
     for t, name in enumerate(names):
         frame_path = root / name

@@ -84,6 +84,8 @@ def load_kernel_bank(path) -> ConvKernelBank:
     magic, channels = _WEIGHT_HEADER.unpack_from(raw)
     if magic != _WEIGHT_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {_WEIGHT_MAGIC!r}")
+    if channels not in (1, 3):
+        raise FormatError(f"{path}: kernel channel count must be 1 or 3, got {channels}")
     expected = _WEIGHT_HEADER.size + KERNEL_COUNT * channels * KERNEL_SIZE * KERNEL_SIZE * 4
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)}")

@@ -97,6 +97,10 @@ class TestSampleErrors:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["transcode"]) == 1
 
+    def test_bench_is_no_longer_a_subcommand(self, capsys):
+        assert main(["bench"]) == 1
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_weights_with_image_representation_conflict(self, tmp_path, capsys):
         d = make_frames_dir(tmp_path, "v")
         assert main(["sample", "--frames-dir", str(d), "--weights", "w.mgkb"]) == 1
@@ -276,30 +280,6 @@ class TestEvalCommand:
         assert main(["eval", "--t-count", "10", "--burst", "5:40:1.0"]) == 1
 
 
-class TestBenchCommand:
-    def test_prints_fixed_column_table(self, capsys):
-        assert main(["bench", "--t-count", "24", "--height", "16", "--width", "16",
-                     "--videos", "2", "--reps", "2", "--warmup", "1"]) == 0
-        out = capsys.readouterr().out.strip().split("\n")
-        assert len(out) == 2
-        header, row = out
-        assert header.split() == ["videos", "reps", "warmup", "strategy", "repr", "mean_us", "p95_us"]
-        cells = row.split()
-        assert cells[:5] == ["2", "2", "1", "mg", "image"]
-        assert float(cells[5]) > 0 and float(cells[6]) > 0
-
-    def test_report_file(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--t-count", "16", "--height", "8", "--width", "8",
-                     "--videos", "1", "--reps", "2", "--out", str(out)]) == 0
-        obj = json.loads(out.read_text())
-        assert obj["latency_mean_us"] > 0 and obj["latency_p95_us"] > 0
-
-    def test_bad_counts_are_usage_errors(self, capsys):
-        assert main(["bench", "--videos", "0"]) == 1
-        assert main(["bench", "--reps", "0"]) == 1
-
-
 class TestGenCommand:
     def test_writes_loadable_tensor(self, tmp_path, capsys):
         out = tmp_path / "v.mgvt"
@@ -327,9 +307,8 @@ class TestAtomicOutputs:
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--t-count", "20", "--deterministic"],
-        ["bench", "--t-count", "8", "--height", "8", "--width", "8", "--videos", "1", "--reps", "1"],
         ["gen", "--t-count", "4", "--height", "8", "--width", "8"],
-    ], ids=["eval", "bench", "gen"])
+    ], ids=["eval", "gen"])
     def test_failed_rename_keeps_earlier_output(self, tmp_path, capsys, monkeypatch, argv):
         out = tmp_path / "out.file"
         out.write_bytes(b"earlier")

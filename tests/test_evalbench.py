@@ -15,7 +15,6 @@ from motionsample import (
     compare_strategies,
     generate_synthetic_video,
     image_diff_salience,
-    latency_benchmark,
     make_rng,
     mg_sample,
     normalize_salience,
@@ -174,8 +173,8 @@ class TestCompareStrategies:
             generate_synthetic_video(spec), spec, SamplerConfig(n_frames=4, deterministic=True)
         )
         obj = json.loads(report.to_json())
+        assert set(obj) == {"coverage", "salience_mass_in_bursts"}
         assert set(obj["coverage"]) == {"mg", "segment", "stride", "topk"}
-        assert obj["latency_mean_us"] is None
 
     def test_coverage_fraction_validation(self):
         with pytest.raises(StructuralError):
@@ -198,13 +197,12 @@ class TestMgBurstProperty:
 
 
 class TestLatencyBenchmark:
+    """Pipeline edge and scaling checks; perfbench/run.py measures latency itself."""
+
     def test_single_frame_video_sanity(self):
         spec = SyntheticSpec(t_count=1, height=8, width=8, channels=1)
         volume = generate_synthetic_video(spec)
         cfg = SamplerConfig(n_frames=4, strategy="mg", deterministic=True)
-        report = latency_benchmark([volume], cfg, repetitions=3, warmup=1)
-        assert report.latency_mean_us > 0
-        assert report.latency_p95_us > 0
         plan, _, _ = sample_video(volume, cfg)
         assert plan.indices == (0, 0, 0, 0)
 
@@ -228,18 +226,3 @@ class TestLatencyBenchmark:
             large_times.append(time_once(large))
         ratio = min(large_times) / min(small_times)
         assert 1.5 <= ratio <= 3.0, f"scaling ratio {ratio:.2f} outside [1.5, 3.0]"
-
-    def test_parallel_mode_runs(self):
-        spec = spec_with(t=20, bursts=((5, 9, 2.0),))
-        volumes = [generate_synthetic_video(spec) for _ in range(3)]
-        cfg = SamplerConfig(n_frames=4, deterministic=True)
-        report = latency_benchmark(volumes, cfg, repetitions=2, warmup=0, parallel=True)
-        assert report.latency_mean_us > 0
-
-    def test_validation(self):
-        vol = generate_synthetic_video(spec_with(t=4))
-        cfg = SamplerConfig(n_frames=2, deterministic=True)
-        with pytest.raises(ConfigError):
-            latency_benchmark([vol], cfg, repetitions=0)
-        with pytest.raises(StructuralError):
-            latency_benchmark([], cfg, repetitions=1)

@@ -14,6 +14,7 @@ from motionsample import (
     build_curve,
     export_outputs,
     load_frame_directory,
+    load_kernel_bank,
     load_raw_tensor,
     mg_sample,
     natural_key,
@@ -183,8 +184,16 @@ class TestRawTensor:
         assert path.stat().st_size == 32 + 1
 
 
+def _kernel_bank_files(channels):
+    """MGKB files declaring ``channels``: payloads one byte short, exact and one byte long."""
+    exact = 8 * channels * 7 * 7 * 4
+    sizes = st.sampled_from([exact - 1, exact, exact + 1]) if channels <= 4 else st.integers(0, 64)
+    return st.builds(lambda magic, size: struct.pack("<4sI8x", magic, channels) + bytes(max(0, size)),
+                     st.sampled_from([b"MGKB", b"MGKX"]), sizes)
+
+
 class TestHeaderFuzz:
-    """Whatever the bytes, the parsers return a volume or raise FormatError/StructuralError."""
+    """Whatever the bytes, the parsers return a volume or bank, or raise a format error."""
 
     _dim = st.integers(0, 4) | st.integers(0, 2**32 - 1)
     _mgvt_files = st.builds(raw_tensor_bytes, _dim, _dim, _dim, _dim, st.integers(0, 3),
@@ -211,6 +220,16 @@ class TestHeaderFuzz:
         try:
             _parse_pnm(data, "fuzz.pgm")
         except (FormatError, StructuralError):
+            pass
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.binary(max_size=64) | _dim.flatmap(_kernel_bank_files))
+    def test_kernel_bank(self, tmp_path, data):
+        path = tmp_path / "fuzz.mgkb"
+        path.write_bytes(data)
+        try:
+            load_kernel_bank(path)
+        except FormatError:
             pass
 
 

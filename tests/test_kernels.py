@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,15 @@ class TestWeightFile:
         save_kernel_bank(identity_bank(1), path)
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(FormatError, match="expected"):
+            load_kernel_bank(path)
+
+    @pytest.mark.parametrize("channels", [0, 2, 4])
+    def test_bad_channel_count_names_file(self, tmp_path, channels):
+        # the payload has the size the header implies, so only the count is wrong
+        path = tmp_path / "bank.mgkb"
+        path.write_bytes(struct.pack("<4sI8x", b"MGKB", channels) + bytes(8 * channels * 7 * 7 * 4))
+        message = f"^{re.escape(str(path))}: kernel channel count must be 1 or 3, got {channels}$"
+        with pytest.raises(FormatError, match=message):
             load_kernel_bank(path)
 
     def test_short_header(self, tmp_path):
