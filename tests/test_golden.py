@@ -1,8 +1,8 @@
 """Byte-identity check: CLI outputs on a fixed corpus against committed sha256 digests.
 
 Every input is built here from numpy seeds: a PPM frame directory, uint8 and
-float32 MGVT files, an all-static clip, a clip holding a NaN and a ``--batch``
-root.  Each case runs ``motionsample.cli.main`` in-process and records the
+float32 MGVT files, an all-static clip, a clip holding a NaN, a ``--batch``
+root and a long tie-heavy uint8 clip for ``topk`` and ``mg-clip``.  Each case runs ``motionsample.cli.main`` in-process and records the
 sha256 of its exit code, stdout, stderr and every file it wrote; the corpus
 root is replaced by ``ROOT`` in stdout and stderr first.  The digests live in
 ``golden_digests.json`` beside this file.
@@ -14,7 +14,8 @@ their last bits depend on the kernel OpenBLAS picks for the CPU; the oracle
 tolerances in the other tests cover them.
 
 Regenerate the digests (only for a change meant to alter outputs) with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``; it lists the cases added,
+removed and changed against the committed file before it overwrites it.
 """
 
 from __future__ import annotations
@@ -67,6 +68,22 @@ def _moving_u8(rng, t, h, w, c) -> np.ndarray:
     return frames
 
 
+def _long_ties_u8(rng, t) -> np.ndarray:
+    """Flat 4x4 frames in four grey levels, held for runs of up to 80 frames.
+
+    Repeat runs longer than the 32-frame clip window give zero-mass windows,
+    and level steps of equal size give many equal salience scores.
+    """
+    levels = np.array([0, 64, 128, 192], dtype=np.uint8)
+    frames = np.empty((t, 4, 4, 1), dtype=np.uint8)
+    i = 0
+    while i < t:
+        run = int(rng.choice([1, 1, 2, 3, 40, 80]))
+        frames[i : i + run] = levels[rng.integers(4)]
+        i += run
+    return frames
+
+
 def build_corpus(root: Path) -> None:
     rng = np.random.default_rng(20261018)
     _write_ppm_dir(root / "ppm", _moving_u8(rng, 24, 16, 16, 3))
@@ -88,6 +105,7 @@ def build_corpus(root: Path) -> None:
     save_raw_tensor(FrameVolume(f32b), batch / "clip4.mgvt")
     for c in (1, 3):
         save_kernel_bank(random_bank(c, seed=5 + c), root / f"bank{c}.mgkb")
+    save_raw_tensor(FrameVolume(_long_ties_u8(rng, 1100)), root / "long.mgvt")
 
 
 def _cases() -> dict[str, tuple[list[str], list[str]]]:
@@ -102,6 +120,11 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
                 files = ["plan.json"] if f32 and variant == "feature" else ["plan.json", "curve.csv"]
                 cases[f"sample-{name}-{variant}-{s}"] = (argv, files)
         cases[f"stdout-{name}"] = (["sample", flag, f"ROOT/{rel}", "--num-frames", "6", "--seed", "5"], [])
+    for variant in ("default", "deterministic"):
+        for s in ("topk", "mg-clip"):
+            argv = ["sample", "--raw-tensor", "ROOT/long.mgvt", "--strategy", s, *VARIANTS[variant],
+                    "--num-frames", "32", "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
+            cases[f"sample-long-{variant}-{s}"] = (argv, ["plan.json", "curve.csv"])
     batch_plans = [f"clip{i}.plan.json" for i in (2, 3, 4, 10)]
     for variant, extra in VARIANTS.items():
         weights = ["--weights", "ROOT/bank3.mgkb"] if variant == "feature" else []
@@ -174,5 +197,9 @@ if __name__ == "__main__":
         root.mkdir()
         build_corpus(root)
         digests = {case: run_case(root, Path(tmp) / "out" / case, case) for case in sorted(CASES)}
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    for label, ids in (("added", digests.keys() - old.keys()), ("removed", old.keys() - digests.keys()),
+                       ("changed", {c for c in digests.keys() & old.keys() if digests[c] != old[c]})):
+        print(f"{label} ({len(ids)}): {' '.join(sorted(ids)) or '-'}", file=sys.stderr)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} cases to {DIGESTS}", file=sys.stderr)
