@@ -71,7 +71,10 @@ class SamplerConfig:
 
     ``deterministic`` replaces every random draw with its interval midpoint
     (or segment center / zero start), making runs reproducible without an RNG.
-    Strategy-specific fields are validated only for the strategy they apply to.
+    The integer fields take anything ``operator.index`` accepts (numpy
+    integers too) and are stored as Python ``int``; floats are rejected.
+    Strategy-specific fields are range-checked only for the strategy they
+    apply to.
     """
 
     n_frames: int = 8
@@ -85,15 +88,21 @@ class SamplerConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        if int(self.n_frames) != self.n_frames or self.n_frames < 1:
+        for name in ("n_frames", "stride", "window_len", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        if self.n_frames < 1:
             raise ConfigError(f"n_frames must be an integer >= 1, got {self.n_frames!r}")
         if not math.isfinite(self.mu) or self.mu < 0:
             raise ConfigError(f"mu must be >= 0, got {self.mu!r}")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        if self.strategy == "stride" and (int(self.stride) != self.stride or self.stride < 1):
+        if self.strategy == "stride" and self.stride < 1:
             raise ConfigError(f"stride must be an integer >= 1, got {self.stride!r}")
-        if self.strategy == "mg-clip" and (int(self.window_len) != self.window_len or self.window_len < 1):
+        if self.strategy == "mg-clip" and self.window_len < 1:
             raise ConfigError(f"window_len must be an integer >= 1, got {self.window_len!r}")
 
 
@@ -126,16 +135,21 @@ class SamplePlan:
             object.__setattr__(self, "draws", tuple(map(float, self.draws)))
 
 
-def build_curve(m: MotionDistribution) -> CumulativeCurve:
-    """Prefix-sum the distribution into curve anchors, pinning F_T to exactly 1."""
-    f = np.empty(m.t_count + 1, dtype=np.float64)
+def _anchors(probs: np.ndarray) -> np.ndarray:
+    """Prefix-sum probabilities into curve anchors, pinning F_T to exactly 1."""
+    f = np.empty(probs.size + 1, dtype=np.float64)
     f[0] = 0.0
-    np.cumsum(m.probs, out=f[1:])
+    np.cumsum(probs, out=f[1:])
     if abs(f[-1] - 1.0) > CURVE_END_TOL:
         raise StructuralError(f"distribution sums to {f[-1]!r}, cannot build curve")
     f[-1] = 1.0
     np.minimum(f, 1.0, out=f)  # keep rounding noise from poking above 1
-    return CumulativeCurve(f)
+    return f
+
+
+def build_curve(m: MotionDistribution) -> CumulativeCurve:
+    """Prefix-sum the distribution into curve anchors, pinning F_T to exactly 1."""
+    return CumulativeCurve(_anchors(m.probs))
 
 
 def distribution_curve(m: MotionDistribution) -> CumulativeCurve:
@@ -152,9 +166,8 @@ def distribution_curve(m: MotionDistribution) -> CumulativeCurve:
     return curve
 
 
-def _invert(curve: CumulativeCurve, ys: np.ndarray) -> np.ndarray:
-    """invert_curve over an array of y values in [0, 1]: zero-based indices, int64."""
-    f = curve.values
+def _invert(f: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """invert_curve over curve anchors ``f`` and an array of y values in [0, 1]: zero-based indices, int64."""
     k = np.searchsorted(f, ys, side="left")  # 0 only for y = 0, since F_0 = 0
     if not k.all():
         k[k == 0] = np.searchsorted(f, 0.0, side="right")  # y = 0: the first rising anchor
@@ -162,7 +175,7 @@ def _invert(curve: CumulativeCurve, ys: np.ndarray) -> np.ndarray:
     x = (k - 1) + (ys - lo) / (f[k] - lo)
     r = np.floor(x + 0.5)
     np.maximum(r, 1, out=r)
-    np.minimum(r, curve.t_count, out=r)
+    np.minimum(r, f.size - 1, out=r)
     return r.astype(np.int64) - 1
 
 
@@ -175,7 +188,7 @@ def invert_curve(curve: CumulativeCurve, y: float) -> int:
     """
     if not (0.0 <= y <= 1.0):
         raise ConfigError(f"y must lie in [0, 1], got {y!r}")
-    return int(_invert(curve, np.array([y], dtype=np.float64))[0])
+    return int(_invert(curve.values, np.array([y], dtype=np.float64))[0])
 
 
 def _resolve_rng(cfg: SamplerConfig, rng: np.random.Generator | None) -> np.random.Generator | None:
@@ -230,7 +243,7 @@ def mg_sample(curve: CumulativeCurve, cfg: SamplerConfig, rng: np.random.Generat
     """Motion-guided sampling: invert one draw per even y-interval."""
     _require_strategy(cfg, "mg")
     ys = _interval_draws(cfg.n_frames, _resolve_rng(cfg, rng))
-    return SamplePlan(_invert(curve, ys).tolist(), "mg", cfg, draws=ys.tolist())
+    return SamplePlan(_invert(curve.values, ys).tolist(), "mg", cfg, draws=ys.tolist())
 
 
 def segment_sample(t_count: int, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> SamplePlan:
@@ -263,14 +276,20 @@ def stride_sample(t_count: int, cfg: SamplerConfig, rng: np.random.Generator | N
 
 
 def topk_sample(m: MotionDistribution, cfg: SamplerConfig) -> SamplePlan:
-    """The N frames with the largest probability, ties to the smaller index."""
+    """The N frames with the largest probability, ties to the smaller index.
+
+    A partial selection finds the N-th largest value v; every frame above v
+    is kept, and the first frames at exactly v fill the rest.  ``-0.0 == 0.0``,
+    so signed zeros tie as they would in a stable sort.
+    """
     _require_strategy(cfg, "topk")
-    if cfg.n_frames > m.t_count:
-        raise ConfigError(
-            f"topk needs n_frames <= t_count, got {cfg.n_frames} > {m.t_count}"
-        )
-    top = np.argsort(-m.probs, kind="stable")[: cfg.n_frames]
-    return SamplePlan(sorted(top.tolist()), "topk", cfg)
+    n, p = cfg.n_frames, m.probs
+    if n > p.size:
+        raise ConfigError(f"topk needs n_frames <= t_count, got {n} > {p.size}")
+    v = np.partition(p, p.size - n)[p.size - n]
+    above = np.flatnonzero(p > v)  # fewer than n, since v is the n-th largest
+    at_v = np.flatnonzero(p == v)[: n - above.size]
+    return SamplePlan(np.union1d(above, at_v).tolist(), "topk", cfg)
 
 
 def windowed_clip_sample(m: MotionDistribution, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> SamplePlan:
@@ -286,13 +305,15 @@ def windowed_clip_sample(m: MotionDistribution, cfg: SamplerConfig, rng: np.rand
     start = 0 if rng is None else int(rng.integers(0, max(0, t - cfg.window_len) + 1))
     sub = m.probs[start : start + cfg.window_len]
     total = float(sub.sum())
-    if total > 0.0:
-        window_m = MotionDistribution(sub / total, mu=m.mu, degenerate_uniform=m.degenerate_uniform)
-    else:
-        window_m = MotionDistribution(np.full(sub.size, 1.0 / sub.size), mu=m.mu, degenerate_uniform=True)
-    curve = build_curve(window_m)
+    # The window's anchors are build_curve's, without the checks that ``m``
+    # already implies.  ``m.probs`` is finite and >= 0, so total >= every
+    # entry (rounding is monotone) and each sub / total is finite and in
+    # [0, 1]; a cumsum of values >= 0 never decreases; _anchors sets F_0 = 0
+    # and keeps the F_T tolerance check, which also stands in for the
+    # window's own sum check (the two sums differ by rounding alone).
+    f = _anchors(sub / total if total > 0.0 else np.full(sub.size, 1.0 / sub.size))
     ys = _interval_draws(cfg.n_frames, rng)
-    indices = _invert(curve, ys) + start
+    indices = _invert(f, ys) + start
     return SamplePlan(indices.tolist(), "mg-clip", cfg, draws=ys.tolist(), window_start=start)
 
 

@@ -255,6 +255,26 @@ class TestTopkSample:
         with pytest.raises(ConfigError):
             topk_sample(uniform_dist(3), cfg_for("topk", 4))
 
+    def test_signed_zeros_tie(self):
+        plan = topk_sample(dist(0.0, 0.5, -0.0, 0.5, 0.0), cfg_for("topk", 4))
+        assert plan.indices == (0, 1, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4096), st.floats(0.0, 1.0), st.floats(0.0, 0.9), st.integers(0, 2**32 - 1))
+    def test_matches_scalar_reference_on_tie_heavy_input(self, t, n_share, zero_share, seed):
+        gen = np.random.default_rng(seed)
+        weights = gen.integers(0, 4, size=t).astype(np.float64)
+        run = int(zero_share * t)  # one zero plateau, then scattered -0.0 entries
+        at = int(gen.integers(0, t - run + 1))
+        weights[at : at + run] = 0.0
+        weights[gen.random(t) < 0.1] = -0.0
+        if not (weights > 0).any():
+            weights[-1] = 1.0
+        m = MotionDistribution(weights / weights.sum())
+        n = max(1, round(n_share * t))
+        indices, _, _ = scalar_plan(m.probs, "topk", n, seed, True)
+        assert list(topk_sample(m, cfg_for("topk", n)).indices) == indices
+
 
 class TestWindowedClipSample:
     def test_uniform_t64_window32_deterministic(self):
@@ -297,6 +317,32 @@ class TestWindowedClipSample:
         plan = windowed_clip_sample(MotionDistribution(probs), cfg)
         expected = mg_sample(build_curve(uniform_dist(32)), cfg_for("mg", 4, deterministic=True))
         assert plan.indices == expected.indices
+
+    def test_window_anchors_equal_build_curve_bitwise(self, rng, monkeypatch):
+        inverted = []
+        real = sampling._invert
+
+        def spy(f, ys):
+            inverted.append(f)
+            return real(f, ys)
+
+        monkeypatch.setattr(sampling, "_invert", spy)
+        zero_mass = np.zeros(300)
+        zero_mass[[0, 150, 299]] = [0.25, 0.5, 0.25]
+        dists = [random_distribution(rng, t) for t in (1, 7, 40, 4096)]
+        dists += [MotionDistribution(zero_mass), plateau_distribution(100)]
+        zero_windows = 0
+        for m in dists:
+            for length in (1, 5, 32, m.t_count, m.t_count + 3):
+                for seed, det in ((0, True), (1, False), (2, False), (3, False)):
+                    plan = windowed_clip_sample(m, cfg_for("mg-clip", 4, window_len=length, seed=seed,
+                                                           deterministic=det))
+                    sub = m.probs[plan.window_start : plan.window_start + length]
+                    total = float(sub.sum())
+                    window = MotionDistribution(sub / total) if total > 0 else uniform_dist(sub.size)
+                    zero_windows += total == 0
+                    assert inverted.pop().tobytes() == build_curve(window).values.tobytes()
+        assert zero_windows > 0
 
 
 class TestMgSegmentRelationship:
@@ -360,6 +406,32 @@ class TestSamplerConfigType:
     def test_seed_must_fit_u64(self):
         with pytest.raises(ConfigError):
             SamplerConfig(seed=2**64)
+
+    @pytest.mark.parametrize("field, value, strategy", [
+        ("n_frames", 8.0, "mg"),
+        ("seed", 1.5, "mg"),
+        ("window_len", 16.0, "mg-clip"),
+        ("stride", 2.0, "stride"),
+        ("n_frames", "8", "mg"),
+    ])
+    def test_non_integral_field_names_itself(self, field, value, strategy):
+        with pytest.raises(ConfigError, match=field):
+            SamplerConfig(strategy=strategy, **{field: value})
+
+    def test_integral_float_rejected_even_for_deterministic_mg(self):
+        with pytest.raises(ConfigError, match="n_frames"):
+            SamplerConfig(n_frames=8.0, deterministic=True)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_frames", np.int64(4)), ("seed", np.uint64(5)), ("stride", np.int32(3)),
+        ("window_len", np.uint16(16)),
+    ])
+    def test_numpy_integers_stored_as_int(self, field, value):
+        strategy = {"stride": "stride", "window_len": "mg-clip"}.get(field, "mg")
+        cfg = SamplerConfig(strategy=strategy, **{field: value})
+        assert type(getattr(cfg, field)) is int and getattr(cfg, field) == value
+        plan = json.loads(plan_to_json(sample_from_distribution(uniform_dist(40), cfg)))
+        assert plan["n_frames"] == cfg.n_frames and plan["seed"] == cfg.seed
 
 
 class TestDispatchAndRng:
@@ -516,7 +588,7 @@ class TestCurvePerDistribution:
         monkeypatch.setattr(sampling, "mg_sample", spy)
         volume = FrameVolume(rng.integers(0, 256, (40, 6, 5, 1), dtype=np.uint8))
         plan, curve, m = sample_video(volume, cfg_for(strategy, 4, seed=2))
-        assert len(build_calls) == (2 if strategy == "mg-clip" else 1)  # mg-clip adds its window's
+        assert len(build_calls) == 1  # mg-clip builds its window's anchors without build_curve
         assert curve.values.tolist() == build_curve(m).values.tolist()
         if strategy == "mg":
             assert drawn_from == [curve] and drawn_from[0] is curve
