@@ -287,9 +287,11 @@ def topk_sample(m: MotionDistribution, cfg: SamplerConfig) -> SamplePlan:
     if n > p.size:
         raise ConfigError(f"topk needs n_frames <= t_count, got {n} > {p.size}")
     v = np.partition(p, p.size - n)[p.size - n]
-    above = np.flatnonzero(p > v)  # fewer than n, since v is the n-th largest
-    at_v = np.flatnonzero(p == v)[: n - above.size]
-    return SamplePlan(np.union1d(above, at_v).tolist(), "topk", cfg)
+    keep = p >= v  # at least n frames, since v is the n-th largest
+    surplus = np.count_nonzero(keep) - n
+    if surplus:  # more frames at v than places left: drop the last of them
+        keep[np.flatnonzero(p == v)[-surplus:]] = False
+    return SamplePlan(np.flatnonzero(keep).tolist(), "topk", cfg)
 
 
 def windowed_clip_sample(m: MotionDistribution, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> SamplePlan:

@@ -412,15 +412,10 @@ class TestSamplerConfigType:
         ("seed", 1.5, "mg"),
         ("window_len", 16.0, "mg-clip"),
         ("stride", 2.0, "stride"),
-        ("n_frames", "8", "mg"),
     ])
     def test_non_integral_field_names_itself(self, field, value, strategy):
         with pytest.raises(ConfigError, match=field):
             SamplerConfig(strategy=strategy, **{field: value})
-
-    def test_integral_float_rejected_even_for_deterministic_mg(self):
-        with pytest.raises(ConfigError, match="n_frames"):
-            SamplerConfig(n_frames=8.0, deterministic=True)
 
     @pytest.mark.parametrize("field, value", [
         ("n_frames", np.int64(4)), ("seed", np.uint64(5)), ("stride", np.int32(3)),
