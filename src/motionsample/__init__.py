@@ -62,7 +62,6 @@ from .sampling import (
     topk_sample,
     video_seed,
     windowed_clip_sample,
-    with_strategy,
 )
 
 __version__ = "0.1.0"
@@ -117,6 +116,5 @@ __all__ = [
     "topk_sample",
     "video_seed",
     "windowed_clip_sample",
-    "with_strategy",
     "zero_bank",
 ]

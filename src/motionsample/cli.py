@@ -33,7 +33,6 @@ from .sampling import (
     STRATEGIES,
     SamplerConfig,
     curve_to_csv,
-    make_rng,
     plan_to_json,
     video_seed,
 )
@@ -154,7 +153,7 @@ def _synthetic_spec(args: argparse.Namespace) -> SyntheticSpec:
 
 
 def _sample_one(args: argparse.Namespace, cfg: SamplerConfig, bank: ConvKernelBank | None,
-                path: Path, frames_dir: bool, out_path, curve_path=None) -> str | None:
+                path: Path, frames_dir: bool, out_path, curve_path) -> str | None:
     """Load one video, sample it, and write its plan (stdout when out_path is None).
 
     Returns None once the plan is written, else an error message that starts
@@ -163,7 +162,7 @@ def _sample_one(args: argparse.Namespace, cfg: SamplerConfig, bank: ConvKernelBa
     try:
         volume = load_frame_directory(path)[0] if frames_dir else load_raw_tensor(path)
         volume = downsample_volume(volume, args.downsample)
-        plan, curve, _ = sample_video(volume, cfg, args.representation, bank, make_rng(cfg.seed))
+        plan, curve, _ = sample_video(volume, cfg, args.representation, bank)
         if out_path is not None:
             export_outputs(plan, out_path, curve, curve_path)
             return None
@@ -175,11 +174,12 @@ def _sample_one(args: argparse.Namespace, cfg: SamplerConfig, bank: ConvKernelBa
     return None
 
 
-def _batch_jobs(root: Path, out_dir: Path) -> list[tuple[Path, Path]]:
-    """(video, plan path) for every video under root in natural order; plan paths must differ."""
+def _batch_jobs(root: Path, out_dir: Path) -> list[tuple[Path, bool, Path]]:
+    """(video, is frames dir, plan path) for every video under root in natural order; plan paths must differ."""
     if not root.is_dir():
         raise MotionSampleError(f"{root}: not a directory")
-    videos = [p for p in root.iterdir() if p.is_dir() or p.suffix.lower() == ".mgvt"]
+    frames_dirs = {p: p.is_dir() for p in root.iterdir()}  # batch inputs may mix frame dirs and .mgvt files
+    videos = [p for p, is_dir in frames_dirs.items() if is_dir or p.suffix.lower() == ".mgvt"]
     if not videos:
         raise MotionSampleError(f"{root}: no videos found")
     owners: dict[Path, Path] = {}
@@ -188,7 +188,7 @@ def _batch_jobs(root: Path, out_dir: Path) -> list[tuple[Path, Path]]:
         if out_path in owners:
             raise MotionSampleError(f"{owners[out_path]} and {path} would both write {out_path}")
         owners[out_path] = path
-    return [(path, out_path) for out_path, path in owners.items()]
+    return [(path, frames_dirs[path], out_path) for out_path, path in owners.items()]
 
 
 def _run_sample(args: argparse.Namespace) -> int:
@@ -202,26 +202,23 @@ def _run_sample(args: argparse.Namespace) -> int:
     if args.batch and not args.out:
         raise _UsageError("motionsample sample: error: --batch requires --out DIRECTORY")
     root = Path(args.frames_dir or args.raw_tensor)
-    jobs = _batch_jobs(root, Path(args.out)) if args.batch else []
+    # A single video is the batch of one at ordinal 0, whose seed is --seed itself.
+    jobs = _batch_jobs(root, Path(args.out)) if args.batch else [(root, args.frames_dir is not None, args.out)]
     bank = load_kernel_bank(args.weights) if args.weights else None
-    if not args.batch:
-        error = _sample_one(args, cfg, bank, root, args.frames_dir is not None, args.out, args.emit_curve)
-        if error is not None:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_INPUT
-        return EXIT_OK
 
-    def work(item: tuple[int, tuple[Path, Path]]) -> str | None:
-        ordinal, (path, out_path) = item
-        # batch inputs may mix frame dirs and .mgvt files
-        return _sample_one(args, replace(cfg, seed=video_seed(cfg.seed, ordinal)), bank, path, path.is_dir(), out_path)
+    def work(item: tuple[int, tuple[Path, bool, Path | str | None]]) -> str | None:
+        ordinal, (path, frames_dir, out_path) = item
+        cfg_v = replace(cfg, seed=video_seed(cfg.seed, ordinal))
+        return _sample_one(args, cfg_v, bank, path, frames_dir, out_path, args.emit_curve)
 
-    Path(args.out).mkdir(parents=True, exist_ok=True)
+    if args.batch:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
         errors = list(pool.map(work, enumerate(jobs)))
-    for (_, out_path), error in zip(jobs, errors):
-        if error is None:
-            print(out_path)
+    if args.batch:
+        for (_, _, out_path), error in zip(jobs, errors):
+            if error is None:
+                print(out_path)
     for error in filter(None, errors):
         print(f"error: {error}", file=sys.stderr)
     return EXIT_INPUT if any(errors) else EXIT_OK

@@ -10,7 +10,7 @@ are identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .errors import ConfigError, StructuralError
 from .kernels import ConvKernelBank
 from .motion import FrameVolume, MotionDistribution
 from .pipeline import video_distribution
-from .sampling import SamplePlan, SamplerConfig, make_rng, sample_from_distribution, with_strategy
+from .sampling import SamplePlan, SamplerConfig, make_rng, sample_from_distribution
 
 COMPARED_STRATEGIES = ("mg", "segment", "stride", "topk")
 
@@ -169,7 +169,7 @@ def compare_strategies(
     m = video_distribution(volume, cfg.mu, representation, bank)
     coverage = {}
     for strategy in COMPARED_STRATEGIES:
-        plan = sample_from_distribution(m, with_strategy(cfg, strategy), make_rng(cfg.seed))
+        plan = sample_from_distribution(m, replace(cfg, strategy=strategy))
         coverage[strategy] = burst_coverage(plan, spec)
     return CoverageReport(coverage=coverage, salience_mass_in_bursts=salience_mass_in_bursts(m, spec))
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ConfigError
 from .kernels import ConvKernelBank, random_bank
 from .motion import (
@@ -58,14 +56,14 @@ def sample_video(
     cfg: SamplerConfig,
     representation: str = "image",
     bank: ConvKernelBank | None = None,
-    rng: np.random.Generator | None = None,
 ) -> tuple[SamplePlan, CumulativeCurve, MotionDistribution]:
     """Run the full sampling pipeline on one video.
 
-    Returns the plan together with the smoothed distribution and its curve so
-    callers can export or inspect them without recomputation; an mg plan was
-    drawn from that very curve.
+    The plan follows from the video and ``cfg`` alone: its draws come from a
+    generator seeded by ``cfg.seed``.  Returns the plan together with the
+    smoothed distribution and its curve so callers can export or inspect them
+    without recomputation; an mg plan was drawn from that very curve.
     """
     m = video_distribution(volume, cfg.mu, representation, bank)
-    plan = sample_from_distribution(m, cfg, rng)
+    plan = sample_from_distribution(m, cfg)
     return plan, distribution_curve(m), m

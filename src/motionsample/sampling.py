@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +74,8 @@ class SamplerConfig:
     (or segment center / zero start), making runs reproducible without an RNG.
     The integer fields take anything ``operator.index`` accepts (numpy
     integers too) and are stored as Python ``int``; floats are rejected.
+    ``mu`` takes any real number (numpy floats too) and is stored as a
+    Python ``float``.
     Strategy-specific fields are range-checked only for the strategy they
     apply to.
     """
@@ -96,6 +99,9 @@ class SamplerConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}") from None
         if self.n_frames < 1:
             raise ConfigError(f"n_frames must be an integer >= 1, got {self.n_frames!r}")
+        if not isinstance(self.mu, numbers.Real):
+            raise ConfigError(f"mu must be a real number, got {self.mu!r}")
+        object.__setattr__(self, "mu", float(self.mu))
         if not math.isfinite(self.mu) or self.mu < 0:
             raise ConfigError(f"mu must be >= 0, got {self.mu!r}")
         if not (0 <= self.seed < 2**64):
@@ -110,12 +116,12 @@ class SamplerConfig:
 class SamplePlan:
     """Selected frame indices plus provenance.
 
-    ``draws`` holds the per-pick y values for the motion-guided strategies;
-    ``window_start`` is the clip offset for mg-clip.
+    The strategy that drew it is ``config.strategy``.  ``draws`` holds the
+    per-pick y values for the motion-guided strategies; ``window_start`` is
+    the clip offset for mg-clip.
     """
 
     indices: tuple[int, ...]
-    strategy: str
     config: SamplerConfig
     draws: tuple[float, ...] | None = None
     window_start: int | None = None
@@ -191,10 +197,8 @@ def invert_curve(curve: CumulativeCurve, y: float) -> int:
     return int(_invert(curve.values, np.array([y], dtype=np.float64))[0])
 
 
-def _resolve_rng(cfg: SamplerConfig, rng: np.random.Generator | None) -> np.random.Generator | None:
-    if cfg.deterministic:
-        return None
-    return rng if rng is not None else make_rng(cfg.seed)
+def _resolve_rng(cfg: SamplerConfig) -> np.random.Generator | None:
+    return None if cfg.deterministic else make_rng(cfg.seed)
 
 
 def _require_strategy(cfg: SamplerConfig, expected: str) -> None:
@@ -239,19 +243,19 @@ def _redraw_from(first: int, y: np.ndarray, lo: np.ndarray, hi: np.ndarray, d: n
         y[i] = v
 
 
-def mg_sample(curve: CumulativeCurve, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> SamplePlan:
+def mg_sample(curve: CumulativeCurve, cfg: SamplerConfig) -> SamplePlan:
     """Motion-guided sampling: invert one draw per even y-interval."""
     _require_strategy(cfg, "mg")
-    ys = _interval_draws(cfg.n_frames, _resolve_rng(cfg, rng))
-    return SamplePlan(_invert(curve.values, ys).tolist(), "mg", cfg, draws=ys.tolist())
+    ys = _interval_draws(cfg.n_frames, _resolve_rng(cfg))
+    return SamplePlan(_invert(curve.values, ys).tolist(), cfg, draws=ys.tolist())
 
 
-def segment_sample(t_count: int, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> SamplePlan:
+def segment_sample(t_count: int, cfg: SamplerConfig) -> SamplePlan:
     """One frame per equal temporal segment [(i-1)T/N, iT/N)."""
     _require_strategy(cfg, "segment")
     if t_count < 1:
         raise StructuralError(f"t_count must be >= 1, got {t_count}")
-    rng = _resolve_rng(cfg, rng)
+    rng = _resolve_rng(cfg)
     n = cfg.n_frames
     edges = np.arange(n + 1) * t_count / n
     lo, hi = edges[:-1], edges[1:]
@@ -259,20 +263,20 @@ def segment_sample(t_count: int, cfg: SamplerConfig, rng: np.random.Generator | 
         pos = lo + t_count / (2 * n)
     else:
         pos = lo + (hi - lo) * rng.random(n)  # uniform(lo, hi) per segment
-    return SamplePlan(np.minimum(np.floor(pos), t_count - 1).astype(np.int64).tolist(), "segment", cfg)
+    return SamplePlan(np.minimum(np.floor(pos), t_count - 1).astype(np.int64).tolist(), cfg)
 
 
-def stride_sample(t_count: int, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> SamplePlan:
+def stride_sample(t_count: int, cfg: SamplerConfig) -> SamplePlan:
     """Arithmetic progression from a random start; overruns clamp to the last frame."""
     _require_strategy(cfg, "stride")
     if t_count < 1:
         raise StructuralError(f"t_count must be >= 1, got {t_count}")
-    rng = _resolve_rng(cfg, rng)
+    rng = _resolve_rng(cfg)
     n, s = cfg.n_frames, cfg.stride
     hi = max(0, t_count - 1 - s * (n - 1))
     start = 0 if rng is None else int(rng.integers(0, hi + 1))
     indices = [min(start + s * i, t_count - 1) for i in range(n)]
-    return SamplePlan(tuple(indices), "stride", cfg)
+    return SamplePlan(tuple(indices), cfg)
 
 
 def topk_sample(m: MotionDistribution, cfg: SamplerConfig) -> SamplePlan:
@@ -291,19 +295,19 @@ def topk_sample(m: MotionDistribution, cfg: SamplerConfig) -> SamplePlan:
     surplus = np.count_nonzero(keep) - n
     if surplus:  # more frames at v than places left: drop the last of them
         keep[np.flatnonzero(p == v)[-surplus:]] = False
-    return SamplePlan(np.flatnonzero(keep).tolist(), "topk", cfg)
+    return SamplePlan(np.flatnonzero(keep).tolist(), cfg)
 
 
-def windowed_clip_sample(m: MotionDistribution, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> SamplePlan:
+def windowed_clip_sample(m: MotionDistribution, cfg: SamplerConfig) -> SamplePlan:
     """Motion-guided sampling restricted to a contiguous window of frames.
 
-    The window start is drawn first, then the interval draws, so one RNG
-    stream replays identically.  Draws are recorded in window-curve
+    The window start is drawn first, then the interval draws, both from the
+    one generator seeded by ``cfg.seed``.  Draws are recorded in window-curve
     coordinates.
     """
     _require_strategy(cfg, "mg-clip")
     t = m.t_count
-    rng = _resolve_rng(cfg, rng)
+    rng = _resolve_rng(cfg)
     start = 0 if rng is None else int(rng.integers(0, max(0, t - cfg.window_len) + 1))
     sub = m.probs[start : start + cfg.window_len]
     total = float(sub.sum())
@@ -316,28 +320,23 @@ def windowed_clip_sample(m: MotionDistribution, cfg: SamplerConfig, rng: np.rand
     f = _anchors(sub / total if total > 0.0 else np.full(sub.size, 1.0 / sub.size))
     ys = _interval_draws(cfg.n_frames, rng)
     indices = _invert(f, ys) + start
-    return SamplePlan(indices.tolist(), "mg-clip", cfg, draws=ys.tolist(), window_start=start)
+    return SamplePlan(indices.tolist(), cfg, draws=ys.tolist(), window_start=start)
 
 
-def sample_from_distribution(m: MotionDistribution, cfg: SamplerConfig, rng: np.random.Generator | None = None) -> SamplePlan:
+def sample_from_distribution(m: MotionDistribution, cfg: SamplerConfig) -> SamplePlan:
     """Dispatch on cfg.strategy over a ready (already smoothed) distribution.
 
     mg draws from the distribution's kept curve (``distribution_curve``).
     """
     if cfg.strategy == "mg":
-        return mg_sample(distribution_curve(m), cfg, rng)
+        return mg_sample(distribution_curve(m), cfg)
     if cfg.strategy == "segment":
-        return segment_sample(m.t_count, cfg, rng)
+        return segment_sample(m.t_count, cfg)
     if cfg.strategy == "stride":
-        return stride_sample(m.t_count, cfg, rng)
+        return stride_sample(m.t_count, cfg)
     if cfg.strategy == "topk":
         return topk_sample(m, cfg)
-    return windowed_clip_sample(m, cfg, rng)
-
-
-def with_strategy(cfg: SamplerConfig, strategy: str) -> SamplerConfig:
-    """Copy of cfg targeting another strategy (shared N, mu, seed, mode)."""
-    return replace(cfg, strategy=strategy)
+    return windowed_clip_sample(m, cfg)
 
 
 def _format_float(v: float) -> str:
@@ -348,7 +347,7 @@ def _format_float(v: float) -> str:
 def plan_to_json(plan: SamplePlan) -> str:
     """Byte-stable JSON: {strategy, seed, mu, n_frames, indices[], draws[]}."""
     obj = {
-        "strategy": plan.strategy,
+        "strategy": plan.config.strategy,
         "seed": plan.config.seed,
         "mu": plan.config.mu,
         "n_frames": plan.config.n_frames,

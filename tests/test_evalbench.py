@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,14 +16,12 @@ from motionsample import (
     compare_strategies,
     generate_synthetic_video,
     image_diff_salience,
-    make_rng,
     mg_sample,
     normalize_salience,
     build_curve,
     salience_mass_in_bursts,
     sample_video,
     smooth_distribution,
-    with_strategy,
 )
 from motionsample.evalbench import COMPARED_STRATEGIES
 
@@ -104,7 +103,7 @@ class TestBurstCoverage:
         cfg = SamplerConfig(n_frames=len(indices), strategy="segment", deterministic=True)
         from motionsample import SamplePlan
 
-        return SamplePlan(tuple(indices), "segment", cfg)
+        return SamplePlan(tuple(indices), cfg)
 
     def test_all_inside(self):
         spec = spec_with(bursts=((10, 19, 1.0),))
@@ -162,7 +161,7 @@ class TestCompareStrategies:
         report = compare_strategies(volume, spec, cfg, representation)
         coverage, mass = {}, None
         for strategy in COMPARED_STRATEGIES:
-            plan, _, m = sample_video(volume, with_strategy(cfg, strategy), representation, None, make_rng(cfg.seed))
+            plan, _, m = sample_video(volume, replace(cfg, strategy=strategy), representation)
             coverage[strategy] = burst_coverage(plan, spec)
             mass = salience_mass_in_bursts(m, spec)
         assert report == CoverageReport(coverage=coverage, salience_mass_in_bursts=mass)

@@ -250,7 +250,7 @@ class TestExportOutputs:
         from motionsample import SamplePlan
 
         cfg = SamplerConfig(n_frames=2, strategy="segment", deterministic=True)
-        plan = SamplePlan((0, 2), "segment", cfg)
+        plan = SamplePlan((0, 2), cfg)
         out = tmp_path / "plan.json"
         export_outputs(plan, out)
         assert '"indices":[0,2]' in out.read_text()

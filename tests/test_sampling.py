@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from motionsample import (
     topk_sample,
     video_seed,
     windowed_clip_sample,
-    with_strategy,
 )
 from motionsample import sampling
 from conftest import random_distribution
@@ -369,15 +369,15 @@ class TestMgSegmentRelationship:
 class TestSamplePlanType:
     def test_rejects_descending_indices(self):
         with pytest.raises(StructuralError):
-            SamplePlan((3, 1), "mg", cfg_for("mg", 2))
+            SamplePlan((3, 1), cfg_for("mg", 2))
 
     def test_rejects_wrong_length(self):
         with pytest.raises(StructuralError):
-            SamplePlan((1,), "mg", cfg_for("mg", 2))
+            SamplePlan((1,), cfg_for("mg", 2))
 
     def test_rejects_negative_index(self):
         with pytest.raises(StructuralError):
-            SamplePlan((-1, 2), "mg", cfg_for("mg", 2))
+            SamplePlan((-1, 2), cfg_for("mg", 2))
 
 
 class TestSamplerConfigType:
@@ -428,14 +428,26 @@ class TestSamplerConfigType:
         plan = json.loads(plan_to_json(sample_from_distribution(uniform_dist(40), cfg)))
         assert plan["n_frames"] == cfg.n_frames and plan["seed"] == cfg.seed
 
+    @pytest.mark.parametrize("mu", [np.float32(0.5), np.float64(0.5)])
+    def test_numpy_mu_stored_as_float(self, mu):
+        cfg = SamplerConfig(mu=mu)
+        assert type(cfg.mu) is float and cfg.mu == 0.5
+        plan = json.loads(plan_to_json(sample_from_distribution(uniform_dist(40), cfg)))
+        assert plan["mu"] == 0.5
+
+    @pytest.mark.parametrize("mu", ["x", None])
+    def test_non_real_mu_names_itself(self, mu):
+        with pytest.raises(ConfigError, match="mu"):
+            SamplerConfig(mu=mu)
+
 
 class TestDispatchAndRng:
     def test_dispatch_covers_all_strategies(self, rng):
         m = random_distribution(rng, 40)
         for strategy in ("mg", "segment", "stride", "topk", "mg-clip"):
-            cfg = with_strategy(SamplerConfig(n_frames=4, seed=1), strategy)
+            cfg = replace(SamplerConfig(n_frames=4, seed=1), strategy=strategy)
             plan = sample_from_distribution(m, cfg)
-            assert plan.strategy == strategy
+            assert plan.config.strategy == strategy
             assert len(plan.indices) == 4
 
     def test_video_seed_stream(self):
@@ -508,23 +520,25 @@ class TestVectorDrawsMatchScalarReference:
                     for seed, det in ((0, True), (0, False), (7, False), (2**64 - 1, False)):
                         window = 32 if seed % 2 else 5
                         cfg = cfg_for(strategy, n, seed=seed, deterministic=det, window_len=window)
-                        plan = sample_from_distribution(m, cfg, make_rng(seed))
+                        plan = sample_from_distribution(m, cfg)
                         indices, draws, start = scalar_plan(m.probs, strategy, n, seed, det, window_len=window)
                         assert plan_to_json(plan) == reference_json(cfg, indices, draws)
                         assert plan.window_start == start
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
-    def test_endpoint_redraws_follow_scalar_rule(self, n):
+    def test_endpoint_redraws_follow_scalar_rule(self, n, monkeypatch):
         top = math.nextafter(1.0, 0.0)  # lands on hi in every interval but the first
         script = [0.0, 0.25, top, 0.0, 0.0, 0.5, top, 0.75] * 3 + [0.1] * 3 * n
         vector_rng, scalar_rng = ScriptedRng(script), ScriptedRng(script)
-        plan = mg_sample(build_curve(uniform_dist(64)), cfg_for("mg", n), vector_rng)
+        monkeypatch.setattr(sampling, "make_rng", lambda seed: vector_rng)
+        plan = mg_sample(build_curve(uniform_dist(64)), cfg_for("mg", n))
         assert list(plan.draws) == scalar_interval_draws(n, scalar_rng)
         assert vector_rng.consumed == scalar_rng.consumed > n
 
-    def test_no_redraw_takes_exactly_n_doubles(self):
+    def test_no_redraw_takes_exactly_n_doubles(self, monkeypatch):
         stub = ScriptedRng([0.5] * 8)
-        mg_sample(build_curve(uniform_dist(8)), cfg_for("mg", 8), stub)
+        monkeypatch.setattr(sampling, "make_rng", lambda seed: stub)
+        mg_sample(build_curve(uniform_dist(8)), cfg_for("mg", 8))
         assert stub.consumed == 8
 
 
@@ -576,9 +590,9 @@ class TestCurvePerDistribution:
         drawn_from = []
         real_mg = sampling.mg_sample
 
-        def spy(curve, cfg, rng=None):
+        def spy(curve, cfg):
             drawn_from.append(curve)
-            return real_mg(curve, cfg, rng)
+            return real_mg(curve, cfg)
 
         monkeypatch.setattr(sampling, "mg_sample", spy)
         volume = FrameVolume(rng.integers(0, 256, (40, 6, 5, 1), dtype=np.uint8))
