@@ -2,7 +2,9 @@
 
 Every input is built here from numpy seeds: a PPM frame directory, uint8 and
 float32 MGVT files, an all-static clip, a clip holding a NaN, a ``--batch``
-root and a long tie-heavy uint8 clip for ``topk`` and ``mg-clip``.  Each case runs ``motionsample.cli.main`` in-process and records the
+root, a long tie-heavy uint8 clip for ``topk`` and ``mg-clip``, and a PPM
+directory whose headers use comments, CR, TAB, VT and FF separators and
+leading zeros.  Each case runs ``motionsample.cli.main`` in-process and records the
 sha256 of its exit code, stdout, stderr and every file it wrote; the corpus
 root is replaced by ``ROOT`` in stdout and stderr first.  The digests live in
 ``golden_digests.json`` beside this file.
@@ -84,6 +86,23 @@ def _long_ties_u8(rng, t) -> np.ndarray:
     return frames
 
 
+# Legal headers the plain writer above never produces; each takes (width, height).
+_ODD_HEADERS = (
+    b"P6#comment right after the magic\n%d\t%d\r255\n",
+    b"P6\r\n# two\n#comment lines\n0%d 00%d\x0b000255\t",
+    b"P6\x0b%d#a comment ends a field\n%d\x0c\x0c255\r",
+    b"P6 \t\r\n\x0b\x0c000000000%d\n#\n%d\n0255 ",
+)
+
+
+def _write_odd_ppm_dir(d: Path, frames: np.ndarray) -> None:
+    d.mkdir()
+    h, w = frames.shape[1:3]
+    for t, frame in enumerate(frames):
+        header = _ODD_HEADERS[t % len(_ODD_HEADERS)] % (w, h)
+        (d / f"f{t}.ppm").write_bytes(header + frame.tobytes())
+
+
 def build_corpus(root: Path) -> None:
     rng = np.random.default_rng(20261018)
     _write_ppm_dir(root / "ppm", _moving_u8(rng, 24, 16, 16, 3))
@@ -106,6 +125,7 @@ def build_corpus(root: Path) -> None:
     for c in (1, 3):
         save_kernel_bank(random_bank(c, seed=5 + c), root / f"bank{c}.mgkb")
     save_raw_tensor(FrameVolume(_long_ties_u8(rng, 1100)), root / "long.mgvt")
+    _write_odd_ppm_dir(root / "odd-headers", _moving_u8(rng, 16, 8, 6, 3))
 
 
 def _cases() -> dict[str, tuple[list[str], list[str]]]:
@@ -125,6 +145,10 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
             argv = ["sample", "--raw-tensor", "ROOT/long.mgvt", "--strategy", s, *VARIANTS[variant],
                     "--num-frames", "32", "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
             cases[f"sample-long-{variant}-{s}"] = (argv, ["plan.json", "curve.csv"])
+    for s in STRATEGIES:
+        argv = ["sample", "--frames-dir", "ROOT/odd-headers", "--strategy", s, *VARIANTS["default"],
+                "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
+        cases[f"sample-odd-headers-{s}"] = (argv, ["plan.json", "curve.csv"])
     batch_plans = [f"clip{i}.plan.json" for i in (2, 3, 4, 10)]
     for variant, extra in VARIANTS.items():
         weights = ["--weights", "ROOT/bank3.mgkb"] if variant == "feature" else []
