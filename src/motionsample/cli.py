@@ -18,14 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError, MotionSampleError
 from .evalbench import SyntheticSpec, compare_strategies, generate_synthetic_video
-from .ingest import (
-    export_outputs,
-    load_frame_directory,
-    load_raw_tensor,
-    natural_key,
-    save_raw_tensor,
-    write_atomic,
-)
+from .ingest import export_outputs, list_videos, load_video, save_raw_tensor, write_atomic
 from .kernels import ConvKernelBank, load_kernel_bank
 from .motion import downsample_volume
 from .pipeline import sample_video
@@ -51,12 +44,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _add_sampler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", choices=STRATEGIES, default="mg")
+def _add_sampler_flags(p: argparse.ArgumentParser, one_strategy: bool) -> None:
+    """Sampler flags; ``--strategy`` and ``--window`` only where a run draws with one strategy."""
+    if one_strategy:
+        p.add_argument("--strategy", choices=STRATEGIES, default="mg")
     p.add_argument("--num-frames", type=int, default=8, metavar="N")
     p.add_argument("--mu", type=float, default=0.5)
     p.add_argument("--stride", type=int, default=4, metavar="K")
-    p.add_argument("--window", type=int, default=32, metavar="L")
+    if one_strategy:
+        p.add_argument("--window", type=int, default=32, metavar="L")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--deterministic", action="store_true")
 
@@ -90,14 +86,14 @@ def _build_parser() -> _Parser:
     sample.add_argument("--representation", choices=("image", "feature"), default="image")
     sample.add_argument("--weights", metavar="FILE", help="MGKB kernel weight file")
     sample.add_argument("--downsample", type=int, default=1, metavar="K")
-    _add_sampler_flags(sample)
+    _add_sampler_flags(sample, one_strategy=True)
     sample.add_argument("--out", metavar="FILE", help="plan JSON path (default: stdout)")
     sample.add_argument("--emit-curve", metavar="FILE", help="also write the curve CSV")
 
     ev = sub.add_parser("eval", help="compare strategies on a synthetic burst video")
     _add_synth_flags(ev, t_default=100)
     ev.add_argument("--representation", choices=("image", "feature"), default="image")
-    _add_sampler_flags(ev)
+    _add_sampler_flags(ev, one_strategy=False)
     ev.add_argument("--out", metavar="FILE", help="report JSON path (default: stdout)")
 
     gen = sub.add_parser("gen", help="write a synthetic video as an MGVT raw tensor")
@@ -106,16 +102,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
+def _sampler_config(args: argparse.Namespace, **fields) -> SamplerConfig:
     try:
         return SamplerConfig(
             n_frames=args.num_frames,
             mu=args.mu,
-            strategy=getattr(args, "strategy", "mg"),
             stride=args.stride,
-            window_len=args.window,
             seed=args.seed,
             deterministic=args.deterministic,
+            **fields,
         )
     except ConfigError as e:
         raise _UsageError(f"motionsample {args.command}: error: {e}") from e
@@ -160,8 +155,7 @@ def _sample_one(args: argparse.Namespace, cfg: SamplerConfig, bank: ConvKernelBa
     with the video path.
     """
     try:
-        volume = load_frame_directory(path)[0] if frames_dir else load_raw_tensor(path)
-        volume = downsample_volume(volume, args.downsample)
+        volume = downsample_volume(load_video(path, frames_dir)[0], args.downsample)
         plan, curve, _ = sample_video(volume, cfg, args.representation, bank)
         if out_path is not None:
             export_outputs(plan, out_path, curve, curve_path)
@@ -176,19 +170,13 @@ def _sample_one(args: argparse.Namespace, cfg: SamplerConfig, bank: ConvKernelBa
 
 def _batch_jobs(root: Path, out_dir: Path) -> list[tuple[Path, bool, Path]]:
     """(video, is frames dir, plan path) for every video under root in natural order; plan paths must differ."""
-    if not root.is_dir():
-        raise MotionSampleError(f"{root}: not a directory")
-    frames_dirs = {p: p.is_dir() for p in root.iterdir()}  # batch inputs may mix frame dirs and .mgvt files
-    videos = [p for p, is_dir in frames_dirs.items() if is_dir or p.suffix.lower() == ".mgvt"]
-    if not videos:
-        raise MotionSampleError(f"{root}: no videos found")
-    owners: dict[Path, Path] = {}
-    for path in sorted(videos, key=lambda p: natural_key(p.name)):
-        out_path = out_dir / f"{path.stem if path.is_file() else path.name}.plan.json"
-        if out_path in owners:
-            raise MotionSampleError(f"{owners[out_path]} and {path} would both write {out_path}")
-        owners[out_path] = path
-    return [(path, frames_dirs[path], out_path) for out_path, path in owners.items()]
+    jobs: dict[Path, tuple[Path, bool, Path]] = {}
+    for path, frames_dir in list_videos(root):
+        out_path = out_dir / f"{path.name if frames_dir else path.stem}.plan.json"
+        if out_path in jobs:
+            raise MotionSampleError(f"{jobs[out_path][0]} and {path} would both write {out_path}")
+        jobs[out_path] = (path, frames_dir, out_path)
+    return list(jobs.values())
 
 
 def _run_sample(args: argparse.Namespace) -> int:
@@ -196,7 +184,7 @@ def _run_sample(args: argparse.Namespace) -> int:
         raise _UsageError("motionsample sample: error: --weights needs --representation feature")
     if args.downsample < 1:
         raise _UsageError("motionsample sample: error: --downsample must be >= 1")
-    cfg = _sampler_config(args)
+    cfg = _sampler_config(args, strategy=args.strategy, window_len=args.window)
     if args.batch and args.emit_curve:
         raise _UsageError("motionsample sample: error: --emit-curve is not available with --batch")
     if args.batch and not args.out:
@@ -225,7 +213,8 @@ def _run_sample(args: argparse.Namespace) -> int:
 
 
 def _run_eval(args: argparse.Namespace) -> int:
-    cfg = _sampler_config(args)
+    # eval runs every compared strategy; building the stride config checks --stride before any work
+    cfg = _sampler_config(args, strategy="stride")
     spec = _synthetic_spec(args)
     volume = generate_synthetic_video(spec)
     report = compare_strategies(volume, spec, cfg, args.representation)

@@ -3,7 +3,8 @@
 Two input formats: a directory of binary PGM/PPM images (P5/P6, maxval 255,
 one file per frame, natural-sorted by filename), or a single "MGVT" raw
 tensor file.  Frame extraction from real containers is left to external
-tools; see the README for an ffmpeg recipe.
+tools; see the README for an ffmpeg recipe.  ``load_video`` and
+``list_videos`` hold every rule about which format a path is read as.
 
 MGVT layout (little-endian): 32-byte header = magic b"MGVT", uint32 version
 (1), uint32 T, H, W, C, uint32 dtype tag (0 = uint8, 1 = float32), 4 reserved
@@ -51,49 +52,40 @@ def natural_key(name: str) -> tuple:
     return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name))
 
 
+# Netpbm header after the magic: width, height and maxval, each at most nine
+# significant digits, with whitespace or "#...\n" comments before and between
+# them (none needed after the magic), then exactly one whitespace byte.
+# In a bytes pattern \s is ASCII whitespace and \d is [0-9].
+_PNM_GAP = rb"(?:\s|#[^\n]*\n)"
+_PNM_FIELD = rb"0*(\d{1,9})"
+_PNM_HEADER = re.compile(_PNM_GAP + b"*" + _PNM_FIELD + (_PNM_GAP + b"+" + _PNM_FIELD) * 2 + rb"\s")
+
+
 def _parse_pnm(data: bytes, name: str) -> tuple[np.ndarray, int]:
     """Binary P5/P6 with maxval 255; returns ((H, W, C) uint8 array, channels)."""
-    if data[:2] == b"P5":
-        channels = 1
-    elif data[:2] == b"P6":
-        channels = 3
-    else:
-        raise FormatError(f"{name}: not a binary PGM/PPM file (magic {data[:2]!r})")
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        if pos >= len(data):
-            raise FormatError(f"{name}: truncated header")
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            eol = data.find(b"\n", pos)
-            if eol < 0:
-                raise FormatError(f"{name}: unterminated comment")
-            pos = eol + 1
-        elif ch.isspace():
-            pos += 1
-        elif ch.isdigit():
-            end = pos
-            while end < len(data) and data[end : end + 1].isdigit():
-                end += 1
-            fields.append(int(data[pos:end]))
-            pos = end
-        else:
-            raise FormatError(f"{name}: unexpected byte {ch!r} in header")
-    width, height, maxval = fields
+    magic = data[:2]
+    if magic not in (b"P5", b"P6"):
+        raise FormatError(f"{name}: not a binary PGM/PPM file (magic {magic!r})")
+    header = _PNM_HEADER.match(data, 2)
+    if header is None:
+        raise FormatError(f"{name}: malformed PGM/PPM header")
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
         raise FormatError(f"{name}: bad dimensions {width}x{height}")
     if maxval != 255:
         raise FormatError(f"{name}: only maxval 255 is supported, got {maxval}")
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise FormatError(f"{name}: missing whitespace before pixel data")
-    pos += 1  # exactly one whitespace byte separates header and raster
+    channels = 3 if magic == b"P6" else 1
     expected = width * height * channels
-    raster = data[pos : pos + expected]
+    raster = data[header.end() : header.end() + expected]
     if len(raster) != expected:
         raise FormatError(f"{name}: expected {expected} pixel bytes, got {len(raster)}")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
     return pixels, channels
+
+
+def _manifest(volume: FrameVolume, source, fmt: str, frame_ids: tuple[str, ...]) -> VideoManifest:
+    return VideoManifest(str(source), fmt, volume.t_count, volume.height, volume.width,
+                         volume.channels, frame_ids)
 
 
 def load_frame_directory(path) -> tuple[FrameVolume, VideoManifest]:
@@ -119,16 +111,7 @@ def load_frame_directory(path) -> tuple[FrameVolume, VideoManifest]:
             )
         frames[t] = pixels
     volume = FrameVolume(frames)
-    manifest = VideoManifest(
-        source=str(root),
-        format="image-dir",
-        t_count=volume.t_count,
-        height=volume.height,
-        width=volume.width,
-        channels=volume.channels,
-        frame_ids=tuple(names),
-    )
-    return volume, manifest
+    return volume, _manifest(volume, root, "image-dir", tuple(names))
 
 
 def load_raw_tensor(path) -> FrameVolume:
@@ -153,6 +136,25 @@ def load_raw_tensor(path) -> FrameVolume:
             raise FormatError(f"{path}: expected {expected} payload bytes, got {actual}")
         data = np.fromfile(f, dtype=dtype, count=t * h * w * c)
     return FrameVolume(data.reshape(t, h, w, c))
+
+
+def load_video(path, frames_dir: bool) -> tuple[FrameVolume, VideoManifest]:
+    """Load one video: a PGM/PPM frame directory if ``frames_dir``, else an MGVT file (no frame ids)."""
+    if frames_dir:
+        return load_frame_directory(path)
+    volume = load_raw_tensor(path)
+    return volume, _manifest(volume, path, "raw-tensor", ())
+
+
+def list_videos(root) -> list[tuple[Path, bool]]:
+    """(video, is frame directory) for every subdirectory and ``*.mgvt`` file under ``root``, in natural order."""
+    root = Path(root)
+    if not root.is_dir():
+        raise StructuralError(f"{root}: not a directory")
+    videos = [(p, is_dir) for p in root.iterdir() if (is_dir := p.is_dir()) or p.suffix.lower() == ".mgvt"]
+    if not videos:
+        raise StructuralError(f"{root}: no videos found")
+    return sorted(videos, key=lambda v: natural_key(v[0].name))
 
 
 def save_raw_tensor(volume: FrameVolume, path) -> None:
@@ -194,9 +196,12 @@ def write_atomic(path, data: str | bytes) -> None:
 
 
 def export_outputs(plan: SamplePlan, plan_path, curve: CumulativeCurve | None = None, curve_path=None) -> None:
-    """Write the plan JSON and, optionally, the curve CSV; both byte-stable and atomic."""
-    write_atomic(plan_path, plan_to_json(plan))
+    """Write the optional curve CSV, then the plan JSON; both byte-stable and atomic.
+
+    The curve goes first, so a plan on disk means every requested file was written.
+    """
     if curve_path is not None:
         if curve is None:
             raise StructuralError("curve_path given but no curve to write")
         write_atomic(curve_path, curve_to_csv(curve))
+    write_atomic(plan_path, plan_to_json(plan))

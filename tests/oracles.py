@@ -142,3 +142,58 @@ def scalar_plan(probs, strategy: str, n: int, seed: int, deterministic: bool,
     ys = scalar_interval_draws(n, rng)
     f = scalar_curve(window)
     return [scalar_invert(f, y) + start for y in ys], ys, start
+
+
+# The byte-by-byte PGM/PPM header tokenizer the package used before its header
+# became one regular expression, kept verbatim as the reference for the
+# differential test.  Its one fault is kept too: a header number longer than
+# 4300 digits makes int() raise a bare ValueError.
+
+
+class FormatError(Exception):
+    """The reference's rejection of a file."""
+
+
+def tokenizer_parse_pnm(data: bytes, name: str) -> tuple[np.ndarray, int]:
+    """Binary P5/P6 with maxval 255; returns ((H, W, C) uint8 array, channels)."""
+    if data[:2] == b"P5":
+        channels = 1
+    elif data[:2] == b"P6":
+        channels = 3
+    else:
+        raise FormatError(f"{name}: not a binary PGM/PPM file (magic {data[:2]!r})")
+    pos = 2
+    fields = []
+    while len(fields) < 3:
+        if pos >= len(data):
+            raise FormatError(f"{name}: truncated header")
+        ch = data[pos : pos + 1]
+        if ch == b"#":
+            eol = data.find(b"\n", pos)
+            if eol < 0:
+                raise FormatError(f"{name}: unterminated comment")
+            pos = eol + 1
+        elif ch.isspace():
+            pos += 1
+        elif ch.isdigit():
+            end = pos
+            while end < len(data) and data[end : end + 1].isdigit():
+                end += 1
+            fields.append(int(data[pos:end]))
+            pos = end
+        else:
+            raise FormatError(f"{name}: unexpected byte {ch!r} in header")
+    width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise FormatError(f"{name}: bad dimensions {width}x{height}")
+    if maxval != 255:
+        raise FormatError(f"{name}: only maxval 255 is supported, got {maxval}")
+    if pos >= len(data) or not data[pos : pos + 1].isspace():
+        raise FormatError(f"{name}: missing whitespace before pixel data")
+    pos += 1  # exactly one whitespace byte separates header and raster
+    expected = width * height * channels
+    raster = data[pos : pos + expected]
+    if len(raster) != expected:
+        raise FormatError(f"{name}: expected {expected} pixel bytes, got {len(raster)}")
+    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
+    return pixels, channels

@@ -144,6 +144,14 @@ class TestSampleErrors:
         assert captured.err.startswith(f"error: {d}: ") and "Input/output error" in captured.err
         assert list(out.iterdir()) == []
 
+    def test_failed_curve_write_leaves_no_plan(self, tmp_path, capsys):
+        d = make_frames_dir(tmp_path, "v")
+        plan = tmp_path / "p.json"
+        assert main(["sample", "--frames-dir", str(d), "--out", str(plan),
+                     "--emit-curve", str(tmp_path / "missing" / "c.csv")]) == 2
+        assert "missing" in capsys.readouterr().err
+        assert not plan.exists()
+
     def test_topk_with_too_few_frames_is_input_error(self, tmp_path, capsys):
         d = make_frames_dir(tmp_path, "v", t=3)
         assert main(["sample", "--frames-dir", str(d), "--strategy", "topk",
@@ -245,6 +253,8 @@ class TestBatchMode:
         (root / "clip2.mgvt").write_bytes(truncated)
         make_frames_dir(root, "clip3", seed=3)
         (make_frames_dir(root, "clip4", seed=4) / "frame2.pgm").write_bytes(b"P9 junk")
+        huge = make_frames_dir(root, "clip5", seed=5) / "frame3.pgm"  # a header number int() refuses
+        huge.write_bytes(b"P5\n" + b"9" * 5000 + b" 8\n255\n" + bytes(64))
         out = tmp_path / "plans"
         assert main(["sample", "--frames-dir", str(root), "--batch", "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -252,9 +262,10 @@ class TestBatchMode:
         assert captured.out == "".join(f"{p}\n" for p in good)
         assert sorted(out.iterdir()) == good
         errors = captured.err.splitlines()
-        assert len(errors) == 2
+        assert len(errors) == 3
         assert errors[0].startswith(f"error: {root / 'clip2.mgvt'}: ") and "payload bytes" in errors[0]
         assert errors[1].startswith(f"error: {root / 'clip4' / 'frame2.pgm'}: not a binary PGM/PPM")
+        assert errors[2] == f"error: {huge}: malformed PGM/PPM header"
 
 
 class TestEvalCommand:
@@ -278,6 +289,17 @@ class TestEvalCommand:
 
     def test_burst_outside_video_is_usage_error(self, capsys):
         assert main(["eval", "--t-count", "10", "--burst", "5:40:1.0"]) == 1
+
+    @pytest.mark.parametrize("flag", [["--strategy", "topk"], ["--window", "8"]])
+    def test_single_strategy_flags_are_not_eval_flags(self, capsys, flag):
+        assert main(["eval", "--t-count", "20", *flag]) == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    def test_zero_stride_is_usage_error(self, capsys):
+        assert main(["eval", "--t-count", "20", "--stride", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "motionsample eval: error: stride must be an integer >= 1, got 0\n"
 
 
 class TestGenCommand:

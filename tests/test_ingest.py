@@ -25,6 +25,7 @@ from motionsample import (
 from motionsample import ingest
 from motionsample.ingest import _parse_pnm
 from conftest import random_volume, write_pgm, write_ppm
+import oracles
 
 
 def raw_tensor_bytes(t, h, w, c, dtype_tag, payload, version=1, magic=b"MGVT"):
@@ -122,6 +123,120 @@ class TestPnmParsing:
         (tmp_path / "stub.pgm").write_bytes(b"P5\n2")
         with pytest.raises(FormatError):
             load_frame_directory(tmp_path)
+
+    @pytest.mark.parametrize("header", [
+        b"P5\n2",  # truncated
+        b"P5\n# no end of line",  # unterminated comment
+        b"P5\n2 x 2 255\n",  # unexpected byte
+        b"P5\n2 2 255#\n",  # no whitespace before the raster
+    ])
+    def test_malformed_header_message(self, header):
+        with pytest.raises(FormatError, match=r"^f\.pgm: malformed PGM/PPM header$"):
+            _parse_pnm(header + bytes(4), "f.pgm")
+
+    def test_huge_header_number_names_file(self, tmp_path):
+        path = tmp_path / "huge.pgm"
+        path.write_bytes(b"P5\n" + b"1" * 5000 + b" 1\n255\n\x00")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: "):
+            load_frame_directory(tmp_path)
+
+    def test_leading_zeros_are_not_significant(self):
+        pixels, channels = _parse_pnm(b"P5 " + b"0" * 5000 + b"2 000000000001 0255\n\x07\x08", "z.pgm")
+        assert channels == 1 and pixels[:, :, 0].tolist() == [[7, 8]]
+
+    @pytest.mark.parametrize("width, message", [
+        (b"999999999", "expected 999999999 pixel bytes, got 1"),  # nine significant digits: a header
+        (b"1000000000", "malformed PGM/PPM header"),
+    ])
+    def test_nine_significant_digits_at_most(self, width, message):
+        with pytest.raises(FormatError, match=f"^wide.pgm: {message}$"):
+            _parse_pnm(b"P5 " + width + b" 1 255\n\x00", "wide.pgm")
+
+
+@st.composite
+def _pnm_files(draw):
+    """Small P5/P6 files that mostly follow the header grammar; a share of them break one rule or one byte."""
+    ws = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+    body = st.binary(max_size=6) | st.sampled_from([b"1 1 255", b"\r7 "])  # digits in a comment are not fields
+    comment = body.map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+
+    def gap(min_size):
+        return b"".join(draw(st.lists(ws | comment, min_size=min_size, max_size=3)))
+
+    def number(value):
+        return b"0" * draw(st.sampled_from([0, 0, 1, 3, 12])) + b"%d" % value
+
+    dim = st.sampled_from([1, 2, 3, 4, 1, 2, 3, 4, 0])
+    magic = draw(st.sampled_from([b"P5", b"P6"]))
+    width, height = draw(dim), draw(dim)
+    maxval = draw(st.sampled_from([255] * 6 + [0, 65535]))
+    header = (magic + gap(0) + number(width) + gap(1) + number(height) + gap(1) + number(maxval)
+              + draw(st.sampled_from([b" ", b"\n", b"\r", b"\t", b"\x0b", b"\x0c", b"", b"#\n"])))
+    size = max(0, width * height * (3 if magic == b"P6" else 1) + draw(st.sampled_from([0] * 6 + [-1, 2])))
+    data = header + draw(st.binary(min_size=size, max_size=size))
+    if draw(st.integers(0, 4)) == 0:  # overwrite one byte anywhere
+        i = draw(st.integers(0, len(data) - 1))
+        data = data[:i] + draw(st.binary(min_size=1, max_size=1)) + data[i + 1 :]
+    return data
+
+
+class TestPnmAgainstTokenizer:
+    """The header grammar accepts exactly what the byte-by-byte tokenizer accepted, with the same pixels."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=_pnm_files())
+    def test_same_pixels_or_both_reject(self, data):
+        try:
+            expected = oracles.tokenizer_parse_pnm(data, "f.ppm")
+        except (oracles.FormatError, ValueError):
+            expected = None
+        try:
+            got = _parse_pnm(data, "f.ppm")
+        except FormatError:
+            got = None
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert got[1] == expected[1]
+            assert got[0].dtype == np.uint8 and np.array_equal(got[0], expected[0])
+
+
+class TestLoadVideo:
+    def test_raw_tensor_manifest(self, tmp_path, rng):
+        path = tmp_path / "v.mgvt"
+        save_raw_tensor(random_volume(rng, 3, h=2, w=5, c=3), path)
+        volume, manifest = ingest.load_video(path, frames_dir=False)
+        assert np.array_equal(volume.frames, load_raw_tensor(path).frames)
+        assert manifest == ingest.VideoManifest(str(path), "raw-tensor", 3, 2, 5, 3, ())
+
+    def test_frame_directory_manifest(self, tmp_path, rng):
+        for name in ("f2.pgm", "f10.pgm"):
+            write_pgm(tmp_path / name, rng.integers(0, 256, size=(2, 3), dtype=np.uint8))
+        volume, manifest = ingest.load_video(tmp_path, frames_dir=True)
+        expected_volume, expected_manifest = load_frame_directory(tmp_path)
+        assert np.array_equal(volume.frames, expected_volume.frames)
+        assert manifest == expected_manifest
+
+
+class TestListVideos:
+    def test_frame_dirs_and_mgvt_files_in_natural_order(self, tmp_path, rng):
+        for name in ("clip10", "clip2"):
+            (tmp_path / name).mkdir()
+        for name in ("clip3.mgvt", "clip1.MGVT"):
+            save_raw_tensor(random_volume(rng, 2), tmp_path / name)
+        (tmp_path / "notes.txt").write_text("not a video")
+        assert ingest.list_videos(tmp_path) == [
+            (tmp_path / "clip1.MGVT", False), (tmp_path / "clip2", True),
+            (tmp_path / "clip3.mgvt", False), (tmp_path / "clip10", True),
+        ]
+
+    def test_not_a_directory(self, tmp_path):
+        with pytest.raises(StructuralError, match=f"^{re.escape(str(tmp_path / 'absent'))}: not a directory$"):
+            ingest.list_videos(tmp_path / "absent")
+
+    def test_no_videos_found(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("not a video")
+        with pytest.raises(StructuralError, match=f"^{re.escape(str(tmp_path))}: no videos found$"):
+            ingest.list_videos(tmp_path)
 
 
 class TestRawTensor:
@@ -318,6 +433,12 @@ class TestExportOutputs:
         plan, _ = self._plan_and_curve()
         with pytest.raises(StructuralError):
             export_outputs(plan, tmp_path / "p.json", None, tmp_path / "c.csv")
+
+    def test_failed_curve_write_leaves_no_plan(self, tmp_path):
+        plan, curve = self._plan_and_curve()
+        with pytest.raises(OSError, match="missing"):
+            export_outputs(plan, tmp_path / "p.json", curve, tmp_path / "missing" / "c.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVolumeRoundTripProperty:
