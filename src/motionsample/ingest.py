@@ -52,6 +52,11 @@ def natural_key(name: str) -> tuple:
     return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name))
 
 
+def _name_order(name: str) -> tuple:
+    """Natural order, ties (clip2, clip02) broken by the raw name so no listing order shows through."""
+    return natural_key(name), name
+
+
 # Netpbm header after the magic: width, height and maxval, each at most nine
 # significant digits, with whitespace or "#...\n" comments before and between
 # them (none needed after the magic), then exactly one whitespace byte.
@@ -76,11 +81,11 @@ def _parse_pnm(data: bytes, name: str) -> tuple[np.ndarray, int]:
         raise FormatError(f"{name}: only maxval 255 is supported, got {maxval}")
     channels = 3 if magic == b"P6" else 1
     expected = width * height * channels
-    raster = data[header.end() : header.end() + expected]
-    if len(raster) != expected:
-        raise FormatError(f"{name}: expected {expected} pixel bytes, got {len(raster)}")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
-    return pixels, channels
+    got = len(data) - header.end()
+    if got < expected:
+        raise FormatError(f"{name}: expected {expected} pixel bytes, got {got}")
+    pixels = np.frombuffer(data, np.uint8, count=expected, offset=header.end())
+    return pixels.reshape(height, width, channels), channels
 
 
 def _manifest(volume: FrameVolume, source, fmt: str, frame_ids: tuple[str, ...]) -> VideoManifest:
@@ -95,7 +100,7 @@ def load_frame_directory(path) -> tuple[FrameVolume, VideoManifest]:
         raise StructuralError(f"{root}: not a directory")
     names = sorted(
         (p.name for p in root.iterdir() if p.is_file() and p.suffix.lower() in _PNM_EXTENSIONS),
-        key=natural_key,
+        key=_name_order,
     )
     if not names:
         raise StructuralError(f"{root}: no frames with extensions {_PNM_EXTENSIONS} found")
@@ -154,7 +159,7 @@ def list_videos(root) -> list[tuple[Path, bool]]:
     videos = [(p, is_dir) for p in root.iterdir() if (is_dir := p.is_dir()) or p.suffix.lower() == ".mgvt"]
     if not videos:
         raise StructuralError(f"{root}: no videos found")
-    return sorted(videos, key=lambda v: natural_key(v[0].name))
+    return sorted(videos, key=lambda v: _name_order(v[0].name))
 
 
 def save_raw_tensor(volume: FrameVolume, path) -> None:

@@ -99,7 +99,11 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
     """Cross-correlate one (H, W, C) frame with the bank; returns (8, H, W).
 
     Stride 1 with zero-padding 3, so the spatial size is preserved.
-    Accumulation runs in float64.
+    Accumulation runs in float64, as one dgemm ``kernels @ columns``: the
+    kernels are an (8, C*49) matrix and the columns a (C*49, H*W) matrix
+    whose row (c, dy, dx) is channel c of the planar zero-padded frame,
+    shifted by (dy, dx) and cropped to (H, W).  Both sides order K as
+    (c, dy, dx), and the product is the C-contiguous (8, H, W) result.
     """
     frame = np.asarray(frame)
     if frame.ndim != 3:
@@ -108,9 +112,10 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
         raise ConfigError(
             f"kernel bank expects {bank.channels} channel(s), frame has {frame.shape[2]}"
         )
+    h, w, c = frame.shape
     pad = KERNEL_PADDING
-    padded = np.pad(frame.astype(np.float64, copy=False), ((pad, pad), (pad, pad), (0, 0)))
-    # (H, W, C, 7, 7) windows against (8, C, 7, 7) kernels -> (H, W, 8)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (KERNEL_SIZE, KERNEL_SIZE), axis=(0, 1))
-    out = np.tensordot(windows, bank.kernels.astype(np.float64), axes=([2, 3, 4], [1, 2, 3]))
-    return np.ascontiguousarray(np.moveaxis(out, 2, 0))
+    padded = np.zeros((c, h + 2 * pad, w + 2 * pad))
+    padded[:, pad:-pad, pad:-pad] = np.moveaxis(frame, 2, 0)
+    # (C, 7, 7, H, W) windows, copied along contiguous rows into the (C*49, H*W) columns
+    cols = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(1, 2)).reshape(-1, h * w)
+    return (bank.kernels.astype(np.float64).reshape(KERNEL_COUNT, -1) @ cols).reshape(KERNEL_COUNT, h, w)

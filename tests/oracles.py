@@ -58,6 +58,20 @@ def loop_conv2d(frame, kernels) -> np.ndarray:
     return out
 
 
+def tensordot_conv2d(frame, kernels) -> np.ndarray:
+    """The same cross-correlation as one (H*W, C*49) x (C*49, 8) tensordot.
+
+    This was the package's layout before ``kernels @ columns``; uint8 frames
+    must still give its bits, float32 frames its values to rounding.
+    """
+    pad = 3
+    padded = np.pad(np.asarray(frame).astype(np.float64, copy=False), ((pad, pad), (pad, pad), (0, 0)))
+    # (H, W, C, 7, 7) windows against (8, C, 7, 7) kernels -> (H, W, 8)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (7, 7), axis=(0, 1))
+    out = np.tensordot(windows, np.asarray(kernels, dtype=np.float64), axes=([2, 3, 4], [1, 2, 3]))
+    return np.ascontiguousarray(np.moveaxis(out, 2, 0))
+
+
 def loop_image_salience(frames) -> np.ndarray:
     """Image-level salience computed frame pair by frame pair."""
     frames = np.asarray(frames, dtype=np.float64)

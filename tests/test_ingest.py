@@ -70,6 +70,16 @@ class TestLoadFrameDirectory:
         assert manifest.frame_ids == tuple(f"f{i}.pgm" for i in range(1, 13))
         assert volume.frames[:, 0, 0, 0].tolist() == list(range(1, 13))
 
+    @pytest.mark.parametrize("listing", ["f2.pgm f02.pgm f1.pgm", "f1.pgm f02.pgm f2.pgm"])
+    def test_tied_names_ignore_listing_order(self, tmp_path, monkeypatch, listing):
+        # f2 and f02 share a natural key; the raw name breaks the tie
+        for value, name in enumerate(("f1.pgm", "f02.pgm", "f2.pgm")):
+            write_pgm(tmp_path / name, np.full((2, 2), value, dtype=np.uint8))
+        monkeypatch.setattr(Path, "iterdir", lambda self: iter([self / n for n in listing.split()]))
+        volume, manifest = load_frame_directory(tmp_path)
+        assert manifest.frame_ids == ("f1.pgm", "f02.pgm", "f2.pgm")
+        assert volume.frames[:, 0, 0, 0].tolist() == [0, 1, 2]
+
     def test_empty_directory(self, tmp_path):
         with pytest.raises(StructuralError, match="no frames"):
             load_frame_directory(tmp_path)
@@ -227,6 +237,22 @@ class TestListVideos:
         assert ingest.list_videos(tmp_path) == [
             (tmp_path / "clip1.MGVT", False), (tmp_path / "clip2", True),
             (tmp_path / "clip3.mgvt", False), (tmp_path / "clip10", True),
+        ]
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_tied_names_ignore_listing_order(self, tmp_path, rng, monkeypatch, reverse):
+        # natural_key("clip2") == natural_key("clip02"): the order, and so each video's seed, must not
+        # follow the file system's listing
+        names = ["clip2", "clip02", "a1.mgvt", "a01.mgvt"]
+        for name in names[:2]:
+            (tmp_path / name).mkdir()
+        for name in names[2:]:
+            save_raw_tensor(random_volume(rng, 2), tmp_path / name)
+        listing = [tmp_path / n for n in (names[::-1] if reverse else names)]
+        monkeypatch.setattr(Path, "iterdir", lambda self: iter(listing))
+        assert ingest.list_videos(tmp_path) == [
+            (tmp_path / "a01.mgvt", False), (tmp_path / "a1.mgvt", False),
+            (tmp_path / "clip02", True), (tmp_path / "clip2", True),
         ]
 
     def test_not_a_directory(self, tmp_path):

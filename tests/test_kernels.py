@@ -1,5 +1,12 @@
+import contextlib
+import io
+import os
+import platform
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +22,8 @@ from motionsample import (
     save_kernel_bank,
     zero_bank,
 )
-from oracles import loop_conv2d
+from oracles import loop_conv2d, tensordot_conv2d
+import motionsample
 
 
 class TestBankConstruction:
@@ -95,6 +103,64 @@ class TestConv2d:
     def test_rejects_non_3d_frame(self):
         with pytest.raises(ConfigError):
             conv2d_apply(np.zeros((3, 3), dtype=np.float32), identity_bank(1))
+
+
+_REFERENCE_SHAPES = [(1, 1), (2, 3), (33, 17), (64, 64), (112, 112)]
+
+
+class TestConv2dAgainstTensordot:
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("hw", _REFERENCE_SHAPES)
+    def test_uint8_bitwise(self, rng, hw, c):
+        frame = rng.integers(0, 256, size=(*hw, c), dtype=np.uint8)
+        bank = random_bank(c, seed=int(rng.integers(1000)))
+        out = conv2d_apply(frame, bank)
+        assert out.dtype == np.float64 and out.shape == (8, *hw) and out.flags.c_contiguous
+        assert out.tobytes() == tensordot_conv2d(frame, bank.kernels).tobytes()
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("hw", _REFERENCE_SHAPES)
+    def test_float32_within_tolerance(self, rng, hw, c):
+        frame = rng.uniform(0, 255, size=(*hw, c)).astype(np.float32)
+        bank = random_bank(c, seed=int(rng.integers(1000)))
+        out = conv2d_apply(frame, bank)
+        assert out.dtype == np.float64 and out.shape == (8, *hw) and out.flags.c_contiguous
+        np.testing.assert_allclose(out, tensordot_conv2d(frame, bank.kernels), rtol=1e-10, atol=1e-12)
+
+
+# Printed by a child process under another OpenBLAS kernel and by this one.
+_UINT8_SALIENCE = """
+import numpy as np
+from motionsample import FrameVolume, feature_diff_salience, random_bank
+rng = np.random.default_rng(5)
+for h, w, c in ((8, 8, 3), (33, 17, 1), (64, 64, 3)):
+    frames = rng.integers(0, 256, size=(6, h, w, c), dtype=np.uint8)
+    print(feature_diff_salience(FrameVolume(frames), random_bank(c, seed=0)).values.tobytes().hex())
+"""
+
+
+def _uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 only prints its config
+        return False
+    return "openblas" in blas.get("name", "").lower()
+
+
+@pytest.mark.skipif(
+    platform.machine() != "x86_64" or not _uses_openblas(), reason="needs OpenBLAS on x86_64"
+)
+def test_uint8_feature_salience_same_bytes_under_prescott_kernel():
+    # README: uint8 input gives the same bytes under every BLAS kernel
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(_UINT8_SALIENCE, {})
+    src = str(Path(motionsample.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _UINT8_SALIENCE], env=env,
+                           capture_output=True, text=True, check=True)
+    assert child.stdout == here.getvalue()
 
 
 class TestWeightFile:
