@@ -44,7 +44,7 @@ from .motion import (
     normalize_salience,
     smooth_distribution,
 )
-from .pipeline import compute_salience, sample_video
+from .pipeline import sample_video
 from .sampling import (
     STRATEGIES,
     CumulativeCurve,
@@ -86,7 +86,6 @@ __all__ = [
     "build_curve",
     "burst_coverage",
     "compare_strategies",
-    "compute_salience",
     "conv2d_apply",
     "curve_to_csv",
     "downsample_volume",

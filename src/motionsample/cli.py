@@ -21,7 +21,7 @@ from .evalbench import SyntheticSpec, compare_strategies, generate_synthetic_vid
 from .ingest import export_outputs, list_videos, load_video, save_raw_tensor, write_atomic
 from .kernels import ConvKernelBank, load_kernel_bank
 from .motion import downsample_volume
-from .pipeline import sample_video
+from .pipeline import REPRESENTATIONS, sample_video
 from .sampling import (
     STRATEGIES,
     SamplerConfig,
@@ -83,7 +83,7 @@ def _build_parser() -> _Parser:
     src.add_argument("--frames-dir", metavar="DIR", help="directory of PGM/PPM frames")
     src.add_argument("--raw-tensor", metavar="FILE", help="MGVT raw tensor file")
     sample.add_argument("--batch", action="store_true", help="input path holds many videos")
-    sample.add_argument("--representation", choices=("image", "feature"), default="image")
+    sample.add_argument("--representation", choices=REPRESENTATIONS, default="image")
     sample.add_argument("--weights", metavar="FILE", help="MGKB kernel weight file")
     sample.add_argument("--downsample", type=int, default=1, metavar="K")
     _add_sampler_flags(sample, one_strategy=True)
@@ -92,7 +92,7 @@ def _build_parser() -> _Parser:
 
     ev = sub.add_parser("eval", help="compare strategies on a synthetic burst video")
     _add_synth_flags(ev, t_default=100)
-    ev.add_argument("--representation", choices=("image", "feature"), default="image")
+    ev.add_argument("--representation", choices=REPRESENTATIONS, default="image")
     _add_sampler_flags(ev, one_strategy=False)
     ev.add_argument("--out", metavar="FILE", help="report JSON path (default: stdout)")
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .kernels import ConvKernelBank
 from .motion import FrameVolume, MotionDistribution
 from .pipeline import video_distribution
 from .sampling import SamplePlan, SamplerConfig, make_rng, sample_from_distribution
@@ -159,14 +158,13 @@ def compare_strategies(
     spec: SyntheticSpec,
     cfg: SamplerConfig,
     representation: str = "image",
-    bank: ConvKernelBank | None = None,
 ) -> CoverageReport:
     """Run mg, segment, stride, and topk on one distribution; report coverage.
 
     The distribution is computed once.  Each strategy gets a fresh generator
     seeded from cfg.seed, so results do not depend on strategy order.
     """
-    m = video_distribution(volume, cfg.mu, representation, bank)
+    m = video_distribution(volume, cfg.mu, representation)
     coverage = {}
     for strategy in COMPARED_STRATEGIES:
         plan = sample_from_distribution(m, replace(cfg, strategy=strategy))

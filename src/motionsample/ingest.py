@@ -49,7 +49,7 @@ class VideoManifest:
 
 def natural_key(name: str) -> tuple:
     """Sort key treating digit runs as numbers, so img2 < img10."""
-    return tuple(int(p) if p.isdigit() else p for p in re.split(r"(\d+)", name))
+    return tuple(int(p) if p.isdecimal() else p for p in re.split(r"(\d+)", name))
 
 
 def _name_order(name: str) -> tuple:
@@ -66,8 +66,8 @@ _PNM_FIELD = rb"0*(\d{1,9})"
 _PNM_HEADER = re.compile(_PNM_GAP + b"*" + _PNM_FIELD + (_PNM_GAP + b"+" + _PNM_FIELD) * 2 + rb"\s")
 
 
-def _parse_pnm(data: bytes, name: str) -> tuple[np.ndarray, int]:
-    """Binary P5/P6 with maxval 255; returns ((H, W, C) uint8 array, channels)."""
+def _parse_pnm(data: bytes, name: str) -> np.ndarray:
+    """Binary P5/P6 with maxval 255; returns an (H, W, C) uint8 array."""
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise FormatError(f"{name}: not a binary PGM/PPM file (magic {magic!r})")
@@ -85,7 +85,7 @@ def _parse_pnm(data: bytes, name: str) -> tuple[np.ndarray, int]:
     if got < expected:
         raise FormatError(f"{name}: expected {expected} pixel bytes, got {got}")
     pixels = np.frombuffer(data, np.uint8, count=expected, offset=header.end())
-    return pixels.reshape(height, width, channels), channels
+    return pixels.reshape(height, width, channels)
 
 
 def _manifest(volume: FrameVolume, source, fmt: str, frame_ids: tuple[str, ...]) -> VideoManifest:
@@ -107,7 +107,7 @@ def load_frame_directory(path) -> tuple[FrameVolume, VideoManifest]:
     frames = None  # allocated once the first frame gives the shape
     for t, name in enumerate(names):
         frame_path = root / name
-        pixels, _ = _parse_pnm(frame_path.read_bytes(), str(frame_path))
+        pixels = _parse_pnm(frame_path.read_bytes(), str(frame_path))
         if frames is None:
             frames = np.empty((len(names), *pixels.shape), dtype=np.uint8)
         elif pixels.shape != frames.shape[1:]:

@@ -20,6 +20,7 @@ from .errors import ConfigError, FormatError
 KERNEL_COUNT = 8
 KERNEL_SIZE = 7
 KERNEL_PADDING = 3
+_RANDOM_STDDEV = 1.0 / 49.0
 
 _WEIGHT_MAGIC = b"MGKB"
 _WEIGHT_HEADER = struct.Struct("<4sI8x")  # magic, channels, reserved
@@ -61,10 +62,10 @@ def zero_bank(channels: int = 1) -> ConvKernelBank:
     )
 
 
-def random_bank(channels: int = 1, seed: int = 0, stddev: float = 1.0 / 49.0) -> ConvKernelBank:
-    """Deterministic Gaussian initialization from a seed (default seed 0)."""
+def random_bank(channels: int = 1, seed: int = 0) -> ConvKernelBank:
+    """Deterministic Gaussian initialization, standard deviation 1/49, from a seed (default seed 0)."""
     rng = np.random.default_rng(seed)
-    k = rng.normal(0.0, stddev, size=(KERNEL_COUNT, channels, KERNEL_SIZE, KERNEL_SIZE))
+    k = rng.normal(0.0, _RANDOM_STDDEV, size=(KERNEL_COUNT, channels, KERNEL_SIZE, KERNEL_SIZE))
     return ConvKernelBank(k.astype(np.float32))
 
 

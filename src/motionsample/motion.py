@@ -66,21 +66,12 @@ class FrameVolume:
     def channels(self) -> int:
         return self.frames.shape[3]
 
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "FrameVolume":
-        """Wrap an array, promoting (T, H, W) grayscale to (T, H, W, 1)."""
-        a = np.asarray(a)
-        if a.ndim == 3:
-            a = a[..., np.newaxis]
-        return cls(a)
-
 
 @dataclass(frozen=True)
 class SalienceVector:
     """Raw per-frame motion magnitude; values[0] is 0 by definition."""
 
     values: np.ndarray
-    representation: str  # "image" or "feature"
 
     def __post_init__(self):
         v = np.array(self.values, dtype=np.float64)  # own copy, frozen below
@@ -91,8 +82,6 @@ class SalienceVector:
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             bad = int(np.argmin(np.isfinite(v) & (v >= 0)))  # argmin of a bool array: first False
             raise StructuralError(f"salience entry {bad} (frame {bad}) must be finite and >= 0")
-        if self.representation not in ("image", "feature"):
-            raise StructuralError(f"unknown representation tag {self.representation!r}")
         object.__setattr__(self, "values", _frozen_array(v))
 
     @property
@@ -105,14 +94,11 @@ class MotionDistribution:
     """l1-normalized per-frame motion probabilities.
 
     The instance owns a read-only copy of ``probs``; an array the constructor
-    did not create is copied.  ``mu`` is the smoothing exponent relative to
-    the raw normalized distribution (1.0 means unsmoothed).
-    ``degenerate_uniform`` marks that the all-zero-salience fallback produced
-    a uniform distribution.
+    did not create is copied.  ``degenerate_uniform`` marks that the
+    all-zero-salience fallback produced a uniform distribution.
     """
 
     probs: np.ndarray
-    mu: float = 1.0
     degenerate_uniform: bool = False
 
     def __post_init__(self):
@@ -133,7 +119,7 @@ class MotionDistribution:
         return self.probs.size
 
 
-def _salience_vector(out: np.ndarray, frames: np.ndarray, representation: str) -> SalienceVector:
+def _salience_vector(out: np.ndarray, frames: np.ndarray) -> SalienceVector:
     """Wrap scores computed from ``frames``; a non-finite score names the first non-finite frame.
 
     Score t mixes frames t-1 and t, so its own index can point one frame
@@ -144,7 +130,7 @@ def _salience_vector(out: np.ndarray, frames: np.ndarray, representation: str) -
         bad = int(np.argmin(finite))  # argmin of a bool array: first False
         frame = next((t for t in range(frames.shape[0]) if not np.isfinite(frames[t]).all()), bad)
         raise StructuralError(f"salience entry {bad} (frame {frame}) must be finite and >= 0")
-    return SalienceVector(out, representation)
+    return SalienceVector(out)
 
 
 def image_diff_salience(video: FrameVolume) -> SalienceVector:
@@ -180,7 +166,7 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
                 np.abs(diff, out=diff)
                 out[t] = diff.sum(dtype=np.float64)
                 prev = cur
-    return _salience_vector(out, frames, "image")
+    return _salience_vector(out, frames)
 
 
 def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceVector:
@@ -214,7 +200,7 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
             diff = cur - prev
             out[t] = np.sqrt(np.square(diff).sum(axis=0)).sum()
             prev = cur
-    return _salience_vector(out, frames, "feature")
+    return _salience_vector(out, frames)
 
 
 def normalize_salience(s: SalienceVector) -> MotionDistribution:
@@ -226,36 +212,31 @@ def normalize_salience(s: SalienceVector) -> MotionDistribution:
     """
     total = float(s.values.sum())
     if total > 0.0:
-        return MotionDistribution(s.values / total, mu=1.0)
+        return MotionDistribution(s.values / total)
     t = s.t_count
-    return MotionDistribution(np.full(t, 1.0 / t), mu=1.0, degenerate_uniform=True)
+    return MotionDistribution(np.full(t, 1.0 / t), degenerate_uniform=True)
 
 
 def smooth_distribution(m: MotionDistribution, mu: float) -> MotionDistribution:
     """Power-smooth a distribution: probs^mu, renormalized.
 
-    mu < 1 flattens toward uniform, mu > 1 sharpens, mu = 1 is the identity.
-    mu = 0 short-circuits to the exact uniform distribution (0**0 is never
-    evaluated).  Zero entries stay zero for mu > 0.
+    mu < 1 flattens toward uniform, mu > 1 sharpens, mu = 1 returns ``m``
+    itself.  mu = 0 gives the exact uniform distribution by arithmetic: every
+    p**0 is 1.0 (0**0 too), T ones sum to exactly T, and each entry is 1/T.
+    Zero entries stay zero for mu > 0.
     """
     if not np.isfinite(mu) or mu < 0:
         raise ConfigError(f"smoothing exponent must be >= 0, got {mu!r}")
-    t = m.t_count
-    if mu == 0.0:
-        return MotionDistribution(
-            np.full(t, 1.0 / t), mu=0.0, degenerate_uniform=m.degenerate_uniform
-        )
     if mu == 1.0:
-        return MotionDistribution(m.probs, mu=m.mu, degenerate_uniform=m.degenerate_uniform)
+        return m
     powered = np.power(m.probs, mu)
     total = float(powered.sum())
     if total <= 0.0:
         # Unreachable for exact arithmetic on a valid distribution, but tiny
         # probabilities can underflow for large mu.
-        return MotionDistribution(np.full(t, 1.0 / t), mu=m.mu * mu, degenerate_uniform=True)
-    return MotionDistribution(
-        powered / total, mu=m.mu * mu, degenerate_uniform=m.degenerate_uniform
-    )
+        t = m.t_count
+        return MotionDistribution(np.full(t, 1.0 / t), degenerate_uniform=True)
+    return MotionDistribution(powered / total, degenerate_uniform=m.degenerate_uniform)
 
 
 def downsample_volume(video: FrameVolume, factor: int) -> FrameVolume:

@@ -7,7 +7,6 @@ from .kernels import ConvKernelBank, random_bank
 from .motion import (
     FrameVolume,
     MotionDistribution,
-    SalienceVector,
     feature_diff_salience,
     image_diff_salience,
     normalize_salience,
@@ -24,31 +23,23 @@ from .sampling import (
 REPRESENTATIONS = ("image", "feature")
 
 
-def compute_salience(
-    volume: FrameVolume,
-    representation: str = "image",
-    bank: ConvKernelBank | None = None,
-) -> SalienceVector:
-    """Image- or feature-level salience; a seed-0 Gaussian bank is the feature default."""
-    if representation == "image":
-        return image_diff_salience(volume)
-    if representation != "feature":
-        raise ConfigError(
-            f"unknown representation {representation!r}, expected one of {REPRESENTATIONS}"
-        )
-    if bank is None:
-        bank = random_bank(volume.channels)
-    return feature_diff_salience(volume, bank)
-
-
 def video_distribution(
     volume: FrameVolume,
     mu: float,
     representation: str = "image",
     bank: ConvKernelBank | None = None,
 ) -> MotionDistribution:
-    """Salience, l1-normalized and power-smoothed by mu: what every strategy draws from."""
-    return smooth_distribution(normalize_salience(compute_salience(volume, representation, bank)), mu)
+    """Image- or feature-level salience, l1-normalized and power-smoothed by mu: what every strategy draws from.
+
+    A seed-0 Gaussian bank is the feature default.
+    """
+    if representation == "image":
+        salience = image_diff_salience(volume)
+    elif representation == "feature":
+        salience = feature_diff_salience(volume, bank or random_bank(volume.channels))
+    else:
+        raise ConfigError(f"unknown representation {representation!r}, expected one of {REPRESENTATIONS}")
+    return smooth_distribution(normalize_salience(salience), mu)
 
 
 def sample_video(

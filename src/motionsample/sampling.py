@@ -61,10 +61,6 @@ class CumulativeCurve:
         f.flags.writeable = False
         object.__setattr__(self, "values", f)
 
-    @property
-    def t_count(self) -> int:
-        return self.values.size - 1
-
 
 @dataclass(frozen=True)
 class SamplerConfig:

@@ -36,7 +36,7 @@ def random_distribution(rng, t, zero_runs=True) -> MotionDistribution:
             values[rng.choice(np.arange(1, t), size=min(n_zero, t - 1), replace=False)] = 0.0
     if values.sum() == 0.0 and t > 1:
         values[-1] = 1.0
-    return normalize_salience(SalienceVector(values, "image"))
+    return normalize_salience(SalienceVector(values))
 
 
 @pytest.fixture

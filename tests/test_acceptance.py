@@ -92,7 +92,7 @@ def test_normalization_and_curve_invariants(rng):
         if rng.random() < 0.3 and t > 2:  # zero runs exercise plateau handling
             values[rng.integers(1, t) :] = 0.0
         mu = float(rng.choice(MU_GRID))
-        m = smooth_distribution(normalize_salience(SalienceVector(values, "image")), mu)
+        m = smooth_distribution(normalize_salience(SalienceVector(values)), mu)
         worst_sum = max(worst_sum, abs(float(m.probs.sum()) - 1.0))
         curve = build_curve(m)
         assert curve.values[0] == 0.0

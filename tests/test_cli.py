@@ -230,6 +230,18 @@ class TestBatchMode:
             assert main(["sample", flag, str(root / name), "--seed", str(video_seed(6, i)), *flags]) == 0
             assert plan.read_text() == capsys.readouterr().out
 
+    def test_non_decimal_digits_in_names(self, tmp_path, capsys):
+        root = tmp_path / "videos"
+        root.mkdir()
+        make_frames_dir(root, "good", seed=1)
+        make_frames_dir(root, "clip1²", seed=2)
+        write_pgm(make_frames_dir(root, "bad", t=3, seed=3) / "f1²3.pgm", np.zeros((8, 8), dtype=np.uint8))
+        out = tmp_path / "plans"
+        assert main(["sample", "--frames-dir", str(root), "--batch", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        plans = [out / f"{name}.plan.json" for name in ("bad", "clip1²", "good")]
+        assert (captured.out, captured.err) == ("".join(f"{p}\n" for p in plans), "")
+
     def test_name_collision_is_input_error_before_any_work(self, tmp_path, capsys):
         root = tmp_path / "videos"
         root.mkdir()

@@ -1,6 +1,11 @@
-"""The public names: every export in ``motionsample.__all__`` resolves."""
+"""The public names: every export in ``motionsample.__all__`` resolves, and the benchmark uses only exports."""
+
+import ast
+from pathlib import Path
 
 import motionsample
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_every_export_resolves():
@@ -12,3 +17,27 @@ def test_star_import():
     namespace = {}
     exec("from motionsample import *", namespace)
     assert set(motionsample.__all__) <= namespace.keys()
+
+
+def perfbench_names() -> dict[str, str]:
+    """Each name perfbench imports from ``motionsample`` or reads as ``motionsample.<name>``, with where."""
+    names = {}
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "motionsample" and node.level == 0:
+                found = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "motionsample" and not node.attr.startswith("__")):
+                found = [node.attr]
+            else:
+                continue
+            for name in found:
+                names.setdefault(name, f"{path.name}:{node.lineno}")
+    return names
+
+
+def test_benchmark_reads_only_exports():
+    """An API cut that would break the benchmark fails here; perfbench is read, never written."""
+    names = perfbench_names()
+    assert "sample_video" in names and "load_kernel_bank" in names  # the scan sees both import forms
+    assert {name: where for name, where in names.items() if name not in motionsample.__all__} == {}

@@ -47,6 +47,12 @@ class TestNaturalSort:
         names = ["a2", "a10", "b1", "a1"]
         assert sorted(names, key=natural_key) == ["a1", "a2", "a10", "b1"]
 
+    def test_non_decimal_digits_stay_text(self):
+        # "²".isdigit() is True but int("²") raises; only Nd digits, the ones \d matches, are numbers
+        assert natural_key("clip1²") == ("clip", 1, "²")
+        assert natural_key("f1²3.pgm") == ("f", 1, "²", 3, ".pgm")
+        assert sorted(["f1²3.pgm", "f12.pgm", "f1.pgm"], key=natural_key) == ["f1.pgm", "f1²3.pgm", "f12.pgm"]
+
 
 class TestLoadFrameDirectory:
     def test_grayscale_happy_path(self, tmp_path, rng):
@@ -151,8 +157,8 @@ class TestPnmParsing:
             load_frame_directory(tmp_path)
 
     def test_leading_zeros_are_not_significant(self):
-        pixels, channels = _parse_pnm(b"P5 " + b"0" * 5000 + b"2 000000000001 0255\n\x07\x08", "z.pgm")
-        assert channels == 1 and pixels[:, :, 0].tolist() == [[7, 8]]
+        pixels = _parse_pnm(b"P5 " + b"0" * 5000 + b"2 000000000001 0255\n\x07\x08", "z.pgm")
+        assert pixels.shape[2] == 1 and pixels[:, :, 0].tolist() == [[7, 8]]
 
     @pytest.mark.parametrize("width, message", [
         (b"999999999", "expected 999999999 pixel bytes, got 1"),  # nine significant digits: a header
@@ -206,8 +212,8 @@ class TestPnmAgainstTokenizer:
             got = None
         assert (got is None) == (expected is None)
         if got is not None:
-            assert got[1] == expected[1]
-            assert got[0].dtype == np.uint8 and np.array_equal(got[0], expected[0])
+            assert got.shape[2] == expected[1]
+            assert got.dtype == np.uint8 and np.array_equal(got, expected[0])
 
 
 class TestLoadVideo:
