@@ -2,6 +2,8 @@
 
 The bank is a fixed, training-free input: load it from a weight file, build
 it from a seeded Gaussian draw, or use the identity/zero test presets.
+``conv2d_apply`` runs the bank as one float64 dgemm over shifted row bands of
+the zero-padded frame: 7*C band rows instead of a 49*C-row im2col matrix.
 
 Weight file layout (little-endian): 16-byte header = magic b"MGKB",
 uint32 channel count, 8 reserved zero bytes; then 8*C*7*7 float32 weights.
@@ -100,11 +102,21 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
     """Cross-correlate one (H, W, C) frame with the bank; returns (8, H, W).
 
     Stride 1 with zero-padding 3, so the spatial size is preserved.
-    Accumulation runs in float64, as one dgemm ``kernels @ columns``: the
-    kernels are an (8, C*49) matrix and the columns a (C*49, H*W) matrix
-    whose row (c, dy, dx) is channel c of the planar zero-padded frame,
-    shifted by (dy, dx) and cropped to (H, W).  Both sides order K as
-    (c, dy, dx), and the product is the C-contiguous (8, H, W) result.
+    Accumulation runs in float64, as one dgemm over shifted bands.  The frame
+    is zero-padded into a planar (C, H+7, Wp) array, Wp = W+6; the extra zero
+    row gives the last band room.  Band (c, dy) is plane c read flat from
+    offset dy*Wp, H*Wp+6 values long, so its entry y*Wp + x + dx is padded
+    pixel (c, y+dy, x+dx): the 7 horizontal taps of a row are one band read
+    at offsets 0..6.  The kernels as a (7*8, 7*C) matrix, rows (dx, k) and
+    columns (c, dy), times the (7*C, H*Wp+6) bands give Y (7, 8, H*Wp+6).
+    Output (k, y, x) is Y[0, k, y*Wp + x] + ... + Y[6, k, y*Wp + x + 6],
+    added in that order, with the 6 pad columns of each row cropped.
+
+    Each output sums the same 49*C products as the direct correlation; only
+    the order of the float64 sums differs, and BLAS fixes part of it.  Products
+    of uint8 pixels and float32 weights are exact, so a bank whose partial sums
+    are exact too gives the same bits in any order (README, *Reproducibility
+    notes*).
     """
     frame = np.asarray(frame)
     if frame.ndim != 3:
@@ -114,9 +126,16 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
             f"kernel bank expects {bank.channels} channel(s), frame has {frame.shape[2]}"
         )
     h, w, c = frame.shape
-    pad = KERNEL_PADDING
-    padded = np.zeros((c, h + 2 * pad, w + 2 * pad))
-    padded[:, pad:-pad, pad:-pad] = np.moveaxis(frame, 2, 0)
-    # (C, 7, 7, H, W) windows, copied along contiguous rows into the (C*49, H*W) columns
-    cols = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(1, 2)).reshape(-1, h * w)
-    return (bank.kernels.astype(np.float64).reshape(KERNEL_COUNT, -1) @ cols).reshape(KERNEL_COUNT, h, w)
+    pad, size = KERNEL_PADDING, KERNEL_SIZE
+    wp = w + 2 * pad
+    span = h * wp
+    padded = np.zeros((c, h + size, wp))
+    padded[:, pad : pad + h, pad : pad + w] = np.moveaxis(frame, 2, 0)
+    windows = np.lib.stride_tricks.sliding_window_view(padded.reshape(c, -1), span + size - 1, axis=1)
+    bands = windows[:, : size * wp : wp].reshape(c * size, -1)  # rows (c, dy), a copy
+    taps = bank.kernels.astype(np.float64).transpose(3, 0, 1, 2).reshape(size * KERNEL_COUNT, c * size)
+    partial = (taps @ bands).reshape(size, KERNEL_COUNT, -1)  # Y
+    out = partial[0, :, :span] + partial[1, :, 1 : 1 + span]
+    for dx in range(2, size):
+        out += partial[dx, :, dx : dx + span]
+    return np.ascontiguousarray(out.reshape(KERNEL_COUNT, h, wp)[:, :, :w])

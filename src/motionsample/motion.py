@@ -189,10 +189,10 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
         )
     frames = video.frames
     out = np.zeros(video.t_count, dtype=np.float64)
-    prev = conv2d_apply(frames[0], bank)
-    if video.t_count > 1 and not np.isfinite(prev).all():
-        raise StructuralError("salience entry 1 (frame 0) must be finite and >= 0")
-    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the error below names the frame
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the errors below name the frame
+        prev = conv2d_apply(frames[0], bank)
+        if video.t_count > 1 and not np.isfinite(prev).all():
+            raise StructuralError("salience entry 1 (frame 0) must be finite and >= 0")
         for t in range(1, video.t_count):
             if np.array_equal(frames[t], frames[t - 1]):
                 continue

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +106,9 @@ class TestConv2d:
             conv2d_apply(np.zeros((3, 3), dtype=np.float32), identity_bank(1))
 
 
-_REFERENCE_SHAPES = [(1, 1), (2, 3), (33, 17), (64, 64), (112, 112)]
+# the last four stress the band layout's flat row offsets: rows no wider than
+# the kernel, a one-column frame and odd widths
+_REFERENCE_SHAPES = [(1, 1), (2, 3), (33, 17), (64, 64), (112, 112), (1, 7), (7, 1), (5, 6), (97, 131)]
 
 
 class TestConv2dAgainstTensordot:
@@ -126,6 +129,40 @@ class TestConv2dAgainstTensordot:
         out = conv2d_apply(frame, bank)
         assert out.dtype == np.float64 and out.shape == (8, *hw) and out.flags.c_contiguous
         np.testing.assert_allclose(out, tensordot_conv2d(frame, bank.kernels), rtol=1e-10, atol=1e-12)
+
+
+def _exact_sum_bits(bank: ConvKernelBank) -> float:
+    """Bits that 255 * sum|w| spans in units of the smallest nonzero weight's ulp, per filter.
+
+    Every product of a uint8 pixel and a float32 weight w is a multiple of
+    ulp(w) = 2**(frexp(w).exp - 24), so every partial sum of a filter's
+    products is a multiple of its smallest ulp and at most 255 * sum|w|.
+    Below 53 bits each such sum is a float64, so it is exact in any order.
+    """
+    k = bank.kernels.astype(np.float64).reshape(bank.kernels.shape[0], -1)
+    ulp = np.ldexp(1.0, np.frexp(k)[1] - 24)
+    smallest = np.where(k != 0, ulp, np.inf).min(axis=1)
+    return float(np.log2(255 * np.abs(k).sum(axis=1) / smallest).max())
+
+
+# random_bank(C, seed=0) is the CLI's bank without --weights (44.75 and 48.07
+# bits); not every seed passes, random_bank(3, seed=5) needs 54.24
+@pytest.mark.parametrize("c, seed, exact", [(1, 0, True), (3, 0, True), (3, 5, False)])
+def test_default_bank_sums_uint8_exactly_in_any_order(c, seed, exact):
+    assert (_exact_sum_bits(random_bank(c, seed=seed)) < 53) == exact
+
+
+def test_scratch_stays_below_the_im2col_matrix(rng):
+    h, w, c = 112, 112, 3
+    frame = rng.integers(0, 256, size=(h, w, c), dtype=np.uint8)
+    bank = random_bank(c, seed=0)
+    tracemalloc.start()
+    try:
+        conv2d_apply(frame, bank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < c * 49 * h * w * 8
 
 
 # Printed by a child process under another OpenBLAS kernel and by this one.

@@ -321,6 +321,16 @@ class TestNonFiniteFrameNamed:
                 feature_diff_salience(FrameVolume(frames), random_bank(1))
 
 
+    def test_infinities_in_frame_0_leak_no_numpy_warning(self, rng):
+        # two infinities under weights of opposite signs sum to inf - inf in the convolution
+        frames = random_volume(rng, 6, dtype=np.float32).frames.copy()
+        frames[0, 1, 2:4, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructuralError, match=r"^salience entry 1 \(frame 0\)"):
+                feature_diff_salience(FrameVolume(frames), random_bank(1))
+
+
 class TestMotionDistributionOwnsProbs:
     def test_later_writes_to_the_callers_array_do_not_reach_it(self):
         base = np.array([0.1, 0.2, 0.3, 0.4])
