@@ -4,7 +4,9 @@ Every input is built here from numpy seeds: a PPM frame directory, uint8 and
 float32 MGVT files, an all-static clip, a clip holding a NaN, a ``--batch``
 root, a long tie-heavy uint8 clip for ``topk`` and ``mg-clip``, and a PPM
 directory whose headers use comments, CR, TAB, VT and FF separators and
-leading zeros.  Each case runs ``motionsample.cli.main`` in-process and records the
+leading zeros, and two uint8 clips whose frames the image salience takes in
+several chunks (five chunks of up to nine 96x96x3 frame pairs; one pair at
+a time for 300x300x3 frames, each past the 256 KiB chunk budget).  Each case runs ``motionsample.cli.main`` in-process and records the
 sha256 of its exit code, stdout, stderr and every file it wrote; the corpus
 root is replaced by ``ROOT`` in stdout and stderr first.  The digests live in
 ``golden_digests.json`` beside this file.
@@ -51,6 +53,8 @@ VARIANTS = {
     "mu2-ds2": ["--mu", "2", "--downsample", "2", "--seed", "11", "--num-frames", "5"],
     "feature": ["--representation", "feature", "--seed", "3"],
 }
+# uint8 clips the image salience takes in several chunks: name -> (T, H, W, C)
+CHUNKED = {"chunks": (40, 96, 96, 3), "wide": (11, 300, 300, 3)}
 
 
 def _write_ppm_dir(d: Path, frames: np.ndarray) -> None:
@@ -126,6 +130,8 @@ def build_corpus(root: Path) -> None:
         save_kernel_bank(random_bank(c, seed=5 + c), root / f"bank{c}.mgkb")
     save_raw_tensor(FrameVolume(_long_ties_u8(rng, 1100)), root / "long.mgvt")
     _write_odd_ppm_dir(root / "odd-headers", _moving_u8(rng, 16, 8, 6, 3))
+    for name, shape in CHUNKED.items():
+        save_raw_tensor(FrameVolume(_moving_u8(rng, *shape)), root / f"{name}.mgvt")
 
 
 def _cases() -> dict[str, tuple[list[str], list[str]]]:
@@ -149,6 +155,12 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
         argv = ["sample", "--frames-dir", "ROOT/odd-headers", "--strategy", s, *VARIANTS["default"],
                 "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
         cases[f"sample-odd-headers-{s}"] = (argv, ["plan.json", "curve.csv"])
+    for name in CHUNKED:
+        for variant in ("default", "deterministic", "mu2-ds2"):
+            for s in STRATEGIES:
+                argv = ["sample", "--raw-tensor", f"ROOT/{name}.mgvt", "--strategy", s, *VARIANTS[variant],
+                        "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
+                cases[f"sample-{name}-{variant}-{s}"] = (argv, ["plan.json", "curve.csv"])
     batch_plans = [f"clip{i}.plan.json" for i in (2, 3, 4, 10)]
     for variant, extra in VARIANTS.items():
         weights = ["--weights", "ROOT/bank3.mgkb"] if variant == "feature" else []
