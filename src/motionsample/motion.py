@@ -17,6 +17,7 @@ from .errors import ConfigError, StructuralError
 from .kernels import ConvKernelBank, conv2d_apply
 
 DISTRIBUTION_SUM_TOL = 1e-9
+_CHUNK_BYTES = 256 * 1024  # uint8 image salience: pixels per difference buffer
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -139,28 +140,37 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
     Channels count as extra spatial extent: for C=3 the absolute differences
     of all three channels are summed.
 
-    uint8 frames are differenced as max - min in uint8, which cannot wrap,
-    into two reused frame buffers, and summed by an integer accumulator
-    (uint32 while 255*H*W*C fits it, else uint64).  Every score is then an
-    exact integer below 2**53, so its float64 value does not depend on the
-    summation order.  float32 frames are widened to float64, differenced
-    and summed in float64.  Frames are processed pairwise, so scratch memory
-    does not grow with T.
+    uint8 frames are taken as flat rows of H*W*C pixels, in chunks of k
+    consecutive frame pairs, k = max(1, min(T-1, 256 KiB // (H*W*C))).  Each
+    chunk is differenced as max - min in uint8, which cannot wrap, into two
+    (k, H*W*C) buffers reused for the whole clip, and each row is summed by
+    an integer accumulator (uint32 while 255*H*W*C fits it, else uint64).
+    Every score is then an exact integer below 2**53, so neither the chunking
+    nor the summation order can change its float64 value.  Scratch memory is
+    two buffers of at most 256 KiB, or two frames when one frame is larger.
+    float32 frames are widened to float64, differenced and summed in float64
+    a pair at a time.  In both branches scratch memory does not grow with T.
     """
     frames = video.frames
-    out = np.zeros(video.t_count, dtype=np.float64)
+    t_count = video.t_count
+    out = np.zeros(t_count, dtype=np.float64)
     if frames.dtype == np.uint8:
-        hi, lo = np.empty_like(frames[0]), np.empty_like(frames[0])
-        acc = np.uint32 if 255 * hi.size < 2**32 else np.uint64
-        for t in range(1, video.t_count):
-            np.maximum(frames[t], frames[t - 1], out=hi)
-            np.minimum(frames[t], frames[t - 1], out=lo)
-            np.subtract(hi, lo, out=hi)
-            out[t] = hi.sum(dtype=acc)
+        flat = frames.reshape(t_count, -1)
+        n = flat.shape[1]
+        k = max(1, min(t_count - 1, _CHUNK_BYTES // n))
+        hi, lo = np.empty((k, n), dtype=np.uint8), np.empty((k, n), dtype=np.uint8)
+        acc = np.uint32 if 255 * n < 2**32 else np.uint64
+        for s in range(1, t_count, k):
+            e = min(s + k, t_count)
+            hk, lk = hi[: e - s], lo[: e - s]
+            np.maximum(flat[s:e], flat[s - 1 : e - 1], out=hk)
+            np.minimum(flat[s:e], flat[s - 1 : e - 1], out=lk)
+            np.subtract(hk, lk, out=hk)
+            out[s:e] = hk.sum(axis=1, dtype=acc)
     else:
         prev = frames[0].astype(np.float64)
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the error below names the frame
-            for t in range(1, video.t_count):
+            for t in range(1, t_count):
                 cur = frames[t].astype(np.float64)
                 diff = cur - prev
                 np.abs(diff, out=diff)

@@ -16,8 +16,10 @@ from motionsample import (
     ConfigError,
     ConvKernelBank,
     FormatError,
+    FrameVolume,
     conv2d_apply,
     identity_bank,
+    image_diff_salience,
     load_kernel_bank,
     random_bank,
     save_kernel_bank,
@@ -163,6 +165,24 @@ def test_scratch_stays_below_the_im2col_matrix(rng):
     finally:
         tracemalloc.stop()
     assert peak < c * 49 * h * w * 8
+
+
+def test_uint8_image_salience_scratch_does_not_grow_with_t(rng):
+    h, w, c = 112, 112, 3
+    frame_bytes = h * w * c
+
+    def peak_of(t: int) -> int:
+        video = FrameVolume(rng.integers(0, 256, size=(t, h, w, c), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            image_diff_salience(video)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak_of(20), peak_of(400)
+    assert long - short <= 8 * (400 - 20) + 8 * 1024  # the float64 score vector, plus slack
+    assert long < 2 * 256 * 1024 + 2 * frame_bytes
 
 
 # Printed by a child process under another OpenBLAS kernel and by this one.

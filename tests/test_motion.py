@@ -168,6 +168,44 @@ class TestUint8Accumulator:
         assert s[1] == float(int64_diff_sum(frames[1], frames[0]))
 
 
+def _chunk_pairs(h, w, c) -> int:
+    """Frame pairs per uint8 salience chunk for a long enough clip of h x w x c frames."""
+    return max(1, motion._CHUNK_BYTES // (h * w * c))
+
+
+class TestUint8Chunks:
+    """uint8 salience runs over chunks of frame pairs; scores at every chunk boundary match the oracle."""
+
+    @staticmethod
+    def _assert_bitwise_equal_to_oracle(rng, t, h, w, c):
+        frames = rng.integers(0, 256, size=(t, h, w, c), dtype=np.uint8)
+        frames[t // 2] = 0  # a 0/255 extreme pair, and a repeat inside the clip
+        if t > 2:
+            frames[t // 2 - 1] = 255
+            frames[-1] = frames[-2]
+        s = image_diff_salience(FrameVolume(frames)).values
+        assert s.tobytes() == loop_image_salience(frames).tobytes()
+
+    @pytest.mark.parametrize("h, w, c", [(96, 96, 3), (160, 160, 1)])
+    def test_clip_lengths_around_the_chunk_size(self, rng, h, w, c):
+        k = _chunk_pairs(h, w, c)
+        assert k > 1
+        for t in (1, 2, k, k + 1, k + 2, 2 * k + 1):
+            self._assert_bitwise_equal_to_oracle(rng, t, h, w, c)
+
+    @pytest.mark.parametrize("h, w, c", [(300, 300, 3), (520, 520, 1)])
+    def test_frames_past_the_budget_go_one_pair_at_a_time(self, rng, h, w, c):
+        assert _chunk_pairs(h, w, c) == 1
+        for t in (1, 2, 5):
+            self._assert_bitwise_equal_to_oracle(rng, t, h, w, c)
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_tiny_frames_fit_the_clip_in_one_chunk(self, rng, c):
+        assert _chunk_pairs(4, 5, c) > 300
+        for t in (3, 31, 300):
+            self._assert_bitwise_equal_to_oracle(rng, t, 4, 5, c)
+
+
 class TestNonFiniteWithoutWarnings:
     """numpy's RuntimeWarning for inf - inf must not leak ahead of the StructuralError."""
 
