@@ -17,7 +17,7 @@ from .errors import ConfigError, StructuralError
 from .kernels import ConvKernelBank, conv2d_apply
 
 DISTRIBUTION_SUM_TOL = 1e-9
-_CHUNK_BYTES = 256 * 1024  # uint8 image salience: pixels per difference buffer
+_CHUNK_BYTES = 128 * 1024  # uint8 image salience: size cap of each of its two difference buffers
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -141,13 +141,13 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
     of all three channels are summed.
 
     uint8 frames are taken as flat rows of H*W*C pixels, in chunks of k
-    consecutive frame pairs, k = max(1, min(T-1, 256 KiB // (H*W*C))).  Each
+    consecutive frame pairs, k = max(1, min(T-1, 128 KiB // (H*W*C))).  Each
     chunk is differenced as max - min in uint8, which cannot wrap, into two
     (k, H*W*C) buffers reused for the whole clip, and each row is summed by
     an integer accumulator (uint32 while 255*H*W*C fits it, else uint64).
     Every score is then an exact integer below 2**53, so neither the chunking
     nor the summation order can change its float64 value.  Scratch memory is
-    two buffers of at most 256 KiB, or two frames when one frame is larger.
+    two buffers of at most 128 KiB, or two frames when one frame is larger.
     float32 frames are widened to float64, differenced and summed in float64
     a pair at a time.  In both branches scratch memory does not grow with T.
     """

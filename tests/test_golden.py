@@ -5,10 +5,11 @@ float32 MGVT files, an all-static clip, a clip holding a NaN, a ``--batch``
 root, a long tie-heavy uint8 clip for ``topk`` and ``mg-clip``, and a PPM
 directory whose headers use comments, CR, TAB, VT and FF separators and
 leading zeros, and two uint8 clips whose frames the image salience takes in
-several chunks (five chunks of up to nine 96x96x3 frame pairs; one pair at
-a time for 300x300x3 frames, each past the 256 KiB chunk budget).  Each case runs ``motionsample.cli.main`` in-process and records the
-sha256 of its exit code, stdout, stderr and every file it wrote; the corpus
-root is replaced by ``ROOT`` in stdout and stderr first.  The digests live in
+several chunks (ten chunks of up to four 96x96x3 frame pairs; one pair at
+a time for 300x300x3 frames, each past the 128 KiB chunk budget).  Each
+case runs ``motionsample.cli.main`` in-process and records the sha256 of its
+exit code, stdout, stderr and every file it wrote; the corpus root is
+replaced by ``ROOT`` in stdout and stderr first.  The digests live in
 ``golden_digests.json`` beside this file.
 
 Left out on purpose: curve CSVs of float32 input under
