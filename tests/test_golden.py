@@ -6,7 +6,11 @@ root, a long tie-heavy uint8 clip for ``topk`` and ``mg-clip``, and a PPM
 directory whose headers use comments, CR, TAB, VT and FF separators and
 leading zeros, and two uint8 clips whose frames the image salience takes in
 several chunks (ten chunks of up to four 96x96x3 frame pairs; one pair at
-a time for 300x300x3 frames, each past the 128 KiB chunk budget).  Each
+a time for 300x300x3 frames, each past the 128 KiB chunk budget), and three
+uint8 clips whose frames change only in small blocks on a static textured
+background (the feature convolution's changed windows: each border and
+corner, one pixel, two opposite corners at once, and a 32x32x3 frame whose
+whole-frame dgemm has 1222 columns).  Each
 case runs ``motionsample.cli.main`` in-process and records the sha256 of its
 exit code, stdout, stderr and every file it wrote; the corpus root is
 replaced by ``ROOT`` in stdout and stderr first.  The digests live in
@@ -56,6 +60,8 @@ VARIANTS = {
 }
 # uint8 clips the image salience takes in several chunks: name -> (T, H, W, C)
 CHUNKED = {"chunks": (40, 96, 96, 3), "wide": (11, 300, 300, 3)}
+# uint8 clips that change in small blocks only: name -> (H, W, C)
+WINDOWED = {"blocks1": (20, 24, 1), "blocks3": (18, 22, 3), "blocks32": (32, 32, 3)}
 
 
 def _write_ppm_dir(d: Path, frames: np.ndarray) -> None:
@@ -73,6 +79,35 @@ def _moving_u8(rng, t, h, w, c) -> np.ndarray:
     frames[t // 2] = 0
     frames[t // 2 + 1] = 255
     return frames
+
+
+def _blocks_u8(rng, h, w, c) -> np.ndarray:
+    """A static textured background in which only small blocks change.
+
+    Each frame redraws one block of its predecessor: every corner and the
+    middle of every border, one channel of one interior pixel, two opposite
+    corners at once, and an interior block drifting one pixel a frame.  One
+    frame repeats its predecessor exactly.
+    """
+    coarse = rng.integers(0, 256, size=(h // 4 + 1, w // 4 + 1, c), dtype=np.uint8)
+    frame = np.repeat(np.repeat(coarse, 4, axis=0), 4, axis=1)[:h, :w].copy()
+    frames = [frame.copy()]
+    b, my, mx = 3, h // 2 - 1, w // 2 - 1
+
+    def redraw(*origins):
+        for y, x in origins:
+            frame[y : y + b, x : x + b] = rng.integers(0, 256, size=(b, b, c), dtype=np.uint8)
+        frames.append(frame.copy())
+
+    for origin in [(0, 0), (0, mx), (0, w - b), (my, w - b), (h - b, w - b), (h - b, mx), (h - b, 0), (my, 0)]:
+        redraw(origin)
+    frame[my, mx + 1, c - 1] ^= 0x5A  # one channel of one pixel
+    redraw()
+    redraw()  # an exact repeat
+    redraw((0, 0), (h - b, w - b))
+    for i in range(4):
+        redraw((my - 2 + i, mx - 3 + i))
+    return np.stack(frames)
 
 
 def _long_ties_u8(rng, t) -> np.ndarray:
@@ -133,6 +168,8 @@ def build_corpus(root: Path) -> None:
     _write_odd_ppm_dir(root / "odd-headers", _moving_u8(rng, 16, 8, 6, 3))
     for name, shape in CHUNKED.items():
         save_raw_tensor(FrameVolume(_moving_u8(rng, *shape)), root / f"{name}.mgvt")
+    for name, shape in WINDOWED.items():
+        save_raw_tensor(FrameVolume(_blocks_u8(rng, *shape)), root / f"{name}.mgvt")
 
 
 def _cases() -> dict[str, tuple[list[str], list[str]]]:
@@ -162,6 +199,11 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
                 argv = ["sample", "--raw-tensor", f"ROOT/{name}.mgvt", "--strategy", s, *VARIANTS[variant],
                         "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
                 cases[f"sample-{name}-{variant}-{s}"] = (argv, ["plan.json", "curve.csv"])
+    for name, (_, _, c) in WINDOWED.items():
+        for s in STRATEGIES:
+            argv = ["sample", "--raw-tensor", f"ROOT/{name}.mgvt", "--strategy", s, *VARIANTS["feature"],
+                    "--weights", f"ROOT/bank{c}.mgkb", "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
+            cases[f"sample-{name}-feature-{s}"] = (argv, ["plan.json", "curve.csv"])
     batch_plans = [f"clip{i}.plan.json" for i in (2, 3, 4, 10)]
     for variant, extra in VARIANTS.items():
         weights = ["--weights", "ROOT/bank3.mgkb"] if variant == "feature" else []
