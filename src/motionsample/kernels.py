@@ -98,25 +98,37 @@ def load_kernel_bank(path) -> ConvKernelBank:
     )
 
 
+# Every dgemm multiplies whole 64-column blocks, so no column that reaches the
+# output is left to a BLAS edge kernel, which may sum in another order.
+_COLUMN_BLOCK = 64
+# OpenBLAS (0.3.31, 2 threads) runs a dgemm of up to 10**6 multiply-adds on
+# one thread.  Above that it threads, and up to 2.75e6 the (56, 21) products
+# of 3-channel bands then took 3-5x as long as single-threaded blocks of the
+# same columns (BENCH_feature_window.json).
+_ONE_THREAD_DGEMM = 10**6
+_SLOW_THREADED_DGEMM = 2_750_000
+
+
+def _dgemm_blocks(n: int, k: int) -> tuple[slice, ...]:
+    """Column blocks, one dgemm each, for the (56, k) @ (k, n) band product.
+
+    n is a multiple of 64.  A product in OpenBLAS's slow threaded range is
+    cut into the fewest equal 64-column blocks that each run on one thread.
+    """
+    rows = KERNEL_COUNT * KERNEL_SIZE
+    if not _ONE_THREAD_DGEMM < rows * k * n < _SLOW_THREADED_DGEMM:
+        return (slice(0, n),)
+    widest = _ONE_THREAD_DGEMM // (rows * k) // _COLUMN_BLOCK * _COLUMN_BLOCK
+    parts = -(-n // widest)
+    width = -(-n // (parts * _COLUMN_BLOCK)) * _COLUMN_BLOCK
+    return tuple(slice(a, min(a + width, n)) for a in range(0, n, width))
+
+
 def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
     """Cross-correlate one (H, W, C) frame with the bank; returns (8, H, W).
 
-    Stride 1 with zero-padding 3, so the spatial size is preserved.
-    Accumulation runs in float64, as one dgemm over shifted bands.  The frame
-    is zero-padded into a planar (C, H+7, Wp) array, Wp = W+6; the extra zero
-    row gives the last band room.  Band (c, dy) is plane c read flat from
-    offset dy*Wp, H*Wp+6 values long, so its entry y*Wp + x + dx is padded
-    pixel (c, y+dy, x+dx): the 7 horizontal taps of a row are one band read
-    at offsets 0..6.  The kernels as a (7*8, 7*C) matrix, rows (dx, k) and
-    columns (c, dy), times the (7*C, H*Wp+6) bands give Y (7, 8, H*Wp+6).
-    Output (k, y, x) is Y[0, k, y*Wp + x] + ... + Y[6, k, y*Wp + x + 6],
-    added in that order, with the 6 pad columns of each row cropped.
-
-    Each output sums the same 49*C products as the direct correlation; only
-    the order of the float64 sums differs, and BLAS fixes part of it.  Products
-    of uint8 pixels and float32 weights are exact, so a bank whose partial sums
-    are exact too gives the same bits in any order (README, *Reproducibility
-    notes*).
+    Stride 1 with zero-padding 3, so the spatial size is preserved.  This is
+    the whole-frame window of ``_conv2d_window``, which documents the layout.
     """
     frame = np.asarray(frame)
     if frame.ndim != 3:
@@ -125,17 +137,52 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
         raise ConfigError(
             f"kernel bank expects {bank.channels} channel(s), frame has {frame.shape[2]}"
         )
+    h, w, _ = frame.shape
+    return _conv2d_window(frame, bank, 0, h, 0, w)
+
+
+def _conv2d_window(frame: np.ndarray, bank: ConvKernelBank, y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
+    """Output rows y0:y1 and columns x0:x1 of ``conv2d_apply(frame, bank)``; (8, y1-y0, x1-x0).
+
+    Accumulation runs in float64, as one dgemm over shifted bands.  The
+    window's input, rows y0-3:y1+3 and columns x0-3:x1+3, is read from the
+    frame into a planar (C, h+7, Wp) array, h = y1-y0 and Wp = (x1-x0)+6,
+    with zeros only where it reaches past the frame border; the extra zero
+    row gives the last band room.  Band (c, dy) is plane c read flat from
+    offset dy*Wp, h*Wp+6 values long, so its entry y*Wp + x + dx is input
+    pixel (c, y+dy, x+dx): the 7 horizontal taps of a row are one band read
+    at offsets 0..6.  The kernels as a (7*8, 7*C) matrix, rows (dx, k) and
+    columns (c, dy), times the (7*C, h*Wp+6) bands give Y (7, 8, h*Wp+6).
+    Output (k, y, x) is Y[0, k, y*Wp + x] + ... + Y[6, k, y*Wp + x + 6],
+    added in that order, with the 6 pad columns of each row cropped.
+
+    Each output sums the same 49*C products as the direct correlation, and
+    in the same order for every window that contains it: a dgemm sums each
+    of its columns over the 7*C band rows alone, and the dx adds run in
+    fixed order.  So a window gives the bits the whole frame gives there.
+    Against the direct correlation only the order of the float64 sums
+    differs, and BLAS fixes part of it.  Products of uint8 pixels and float32
+    weights are exact, so a bank whose partial sums are exact too gives the
+    same bits in any order (README, *Reproducibility notes*).
+    """
     h, w, c = frame.shape
     pad, size = KERNEL_PADDING, KERNEL_SIZE
-    wp = w + 2 * pad
-    span = h * wp
-    padded = np.zeros((c, h + size, wp))
-    padded[:, pad : pad + h, pad : pad + w] = np.moveaxis(frame, 2, 0)
-    windows = np.lib.stride_tricks.sliding_window_view(padded.reshape(c, -1), span + size - 1, axis=1)
+    wp = x1 - x0 + 2 * pad
+    span = (y1 - y0) * wp
+    n = -(-(span + size - 1) // _COLUMN_BLOCK) * _COLUMN_BLOCK  # band length, rounded up
+    padded = np.zeros((c, size - 1 + -(-n // wp), wp))
+    iy0, iy1, ix0, ix1 = max(y0 - pad, 0), min(y1 + pad, h), max(x0 - pad, 0), min(x1 + pad, w)
+    padded[:, iy0 - y0 + pad : iy1 - y0 + pad, ix0 - x0 + pad : ix1 - x0 + pad] = np.moveaxis(
+        frame[iy0:iy1, ix0:ix1], 2, 0
+    )
+    windows = np.lib.stride_tricks.sliding_window_view(padded.reshape(c, -1), n, axis=1)
     bands = windows[:, : size * wp : wp].reshape(c * size, -1)  # rows (c, dy), a copy
     taps = bank.kernels.astype(np.float64).transpose(3, 0, 1, 2).reshape(size * KERNEL_COUNT, c * size)
-    partial = (taps @ bands).reshape(size, KERNEL_COUNT, -1)  # Y
+    partial = np.empty((size * KERNEL_COUNT, n))
+    for cols in _dgemm_blocks(n, c * size):
+        np.matmul(taps, bands[:, cols], out=partial[:, cols])
+    partial = partial.reshape(size, KERNEL_COUNT, -1)  # Y
     out = partial[0, :, :span] + partial[1, :, 1 : 1 + span]
     for dx in range(2, size):
         out += partial[dx, :, dx : dx + span]
-    return np.ascontiguousarray(out.reshape(KERNEL_COUNT, h, wp)[:, :, :w])
+    return np.ascontiguousarray(out.reshape(KERNEL_COUNT, y1 - y0, wp)[:, :, : x1 - x0])

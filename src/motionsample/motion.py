@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .kernels import ConvKernelBank, conv2d_apply
+from .kernels import KERNEL_PADDING, ConvKernelBank, _conv2d_window
 
 DISTRIBUTION_SUM_TOL = 1e-9
 _CHUNK_BYTES = 128 * 1024  # uint8 image salience: size cap of each of its two difference buffers
@@ -186,30 +186,52 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     the 8 channels collapse per pixel to sqrt(sum of squares), and the result
     is summed over the spatial domain.  values[0] is 0.
 
-    A frame bit-identical to its predecessor is not convolved: its feature map
-    would equal the cached one, so its salience is exactly 0 and the cost of a
-    clip scales with its changed frames.  A frame holding NaN never compares
-    equal, so it is convolved and rejected as non-finite.  An infinity does
-    compare equal, so the first feature map is checked directly: a clip whose
-    frame 0 holds one is rejected even when every later frame repeats it.
+    Only the window a frame's changes can reach is convolved: the bounding
+    box of the pixels that differ from the previous frame, widened by the
+    3-pixel kernel radius and clipped to the frame.  Outside it the feature
+    map equals the cached one, so its differences and norms are exactly 0.
+    The window's norms are written into a zero (H, W) map, which is summed
+    whole, in the order a whole-frame difference would sum it, and each
+    feature value in the window has the whole frame's bits
+    (``_conv2d_window``), so the scores are the bits of convolving every
+    frame whole while the cost of a clip scales with its changed pixels.
+    A frame bit-identical to its predecessor has no window and scores 0.
+    Pixels compare by value, so 0.0 and -0.0 are equal; they can change a
+    feature value only in the sign of a zero, which no square can see.  A
+    NaN never compares equal, so it lies inside its frame's window and is
+    rejected as non-finite.  An infinity does compare equal, so the first
+    feature map is checked directly: a clip whose frame 0 holds one is
+    rejected even when every later frame repeats it.
     """
     if bank.channels != video.channels:
         raise ConfigError(
             f"kernel bank expects {bank.channels} channel(s), video has {video.channels}"
         )
     frames = video.frames
-    out = np.zeros(video.t_count, dtype=np.float64)
+    t_count, h, w, c = frames.shape
+    flat = frames.reshape(t_count, h, w * c)  # one row of pixels is W*C values
+    changed = np.empty((h, w * c), dtype=bool)
+    norms = np.zeros((h, w))
+    out = np.zeros(t_count, dtype=np.float64)
+    r = KERNEL_PADDING
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the errors below name the frame
-        prev = conv2d_apply(frames[0], bank)
-        if video.t_count > 1 and not np.isfinite(prev).all():
+        feats = _conv2d_window(frames[0], bank, 0, h, 0, w)  # updated in place, window by window
+        if t_count > 1 and not np.isfinite(feats).all():
             raise StructuralError("salience entry 1 (frame 0) must be finite and >= 0")
-        for t in range(1, video.t_count):
-            if np.array_equal(frames[t], frames[t - 1]):
+        for t in range(1, t_count):
+            np.not_equal(flat[t], flat[t - 1], out=changed)
+            rows = np.flatnonzero(changed.any(axis=1))
+            if rows.size == 0:
                 continue
-            cur = conv2d_apply(frames[t], bank)
-            diff = cur - prev
-            out[t] = np.sqrt(np.square(diff).sum(axis=0)).sum()
-            prev = cur
+            cols = np.flatnonzero(changed.any(axis=0))
+            y0, y1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, h)
+            x0, x1 = max(cols[0] // c - r, 0), min(cols[-1] // c + r + 1, w)
+            cur = _conv2d_window(frames[t], bank, y0, y1, x0, x1)
+            old = feats[:, y0:y1, x0:x1]
+            norms[y0:y1, x0:x1] = np.sqrt(np.square(cur - old).sum(axis=0))
+            out[t] = norms.sum()
+            norms[y0:y1, x0:x1] = 0.0
+            old[...] = cur
     return _salience_vector(out, frames)
 
 

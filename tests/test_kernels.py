@@ -18,6 +18,7 @@ from motionsample import (
     FormatError,
     FrameVolume,
     conv2d_apply,
+    feature_diff_salience,
     identity_bank,
     image_diff_salience,
     load_kernel_bank,
@@ -25,6 +26,7 @@ from motionsample import (
     save_kernel_bank,
     zero_bank,
 )
+from motionsample.kernels import _conv2d_window, _dgemm_blocks
 from oracles import loop_conv2d, tensordot_conv2d
 import motionsample
 
@@ -133,6 +135,55 @@ class TestConv2dAgainstTensordot:
         np.testing.assert_allclose(out, tensordot_conv2d(frame, bank.kernels), rtol=1e-10, atol=1e-12)
 
 
+def _band_columns(h: int, w: int) -> int:
+    """Columns of an (h, w) window's band product: h*(w+6)+6, rounded up to 64."""
+    return -(-(h * (w + 6) + 6) // 64) * 64
+
+
+# (h, w, c, dgemm blocks): band products just below and above OpenBLAS's
+# one-thread limit (10**6 multiply-adds) and its slow threaded range (2.75e6)
+_SPLIT_EDGES = [(25, 26, 3, 1), (27, 26, 3, 2), (71, 26, 3, 3), (73, 26, 3, 1),
+                (77, 26, 1, 1), (79, 26, 1, 2), (217, 26, 1, 3), (219, 26, 1, 1)]
+
+
+@pytest.mark.parametrize("h, w, c, blocks", _SPLIT_EDGES)
+def test_uint8_bitwise_on_each_side_of_the_dgemm_split(rng, h, w, c, blocks):
+    n = _band_columns(h, w)
+    cols = _dgemm_blocks(n, 7 * c)
+    assert len(cols) == blocks
+    assert [b.start for b in cols] == [0] + [b.stop for b in cols[:-1]] and cols[-1].stop == n
+    assert all(b.start % 64 == 0 for b in cols)
+    assert blocks == 1 or all(56 * 7 * c * (b.stop - b.start) <= 10**6 for b in cols)
+    frame = rng.integers(0, 256, size=(h, w, c), dtype=np.uint8)
+    bank = random_bank(c, seed=0)
+    assert conv2d_apply(frame, bank).tobytes() == tensordot_conv2d(frame, bank.kernels).tobytes()
+
+
+def _edge_windows(h: int, w: int):
+    """Windows at each corner, border and the middle of an (h, w) frame, and the whole frame."""
+    rows = [(0, min(h, 4)), (h // 3, h // 3 + max(1, h // 3)), (max(h - 4, 0), h), (0, h)]
+    cols = [(0, min(w, 4)), (w // 3, w // 3 + max(1, w // 3)), (max(w - 4, 0), w), (0, w)]
+    return [(y0, y1, x0, x1) for y0, y1 in rows for x0, x1 in cols]
+
+
+class TestConv2dWindow:
+    # random_bank(3, seed=5) misses the uint8 exactness bound, so sum order shows there too;
+    # 40x41 and the 27x26 and 71x26 frames run their dgemm in blocks
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("hw", [(20, 24), (5, 6), (3, 11), (12, 4), (1, 1), (40, 41), (27, 26), (71, 26)])
+    def test_window_has_the_whole_frame_bits(self, rng, hw, c, dtype):
+        if dtype == np.uint8:
+            frame = rng.integers(0, 256, size=(*hw, c), dtype=np.uint8)
+        else:
+            frame = rng.uniform(0, 255, size=(*hw, c)).astype(np.float32)
+        bank = random_bank(c, seed=5)
+        whole = conv2d_apply(frame, bank)
+        for y0, y1, x0, x1 in _edge_windows(*hw):
+            window = _conv2d_window(frame, bank, y0, y1, x0, x1)
+            assert window.tobytes() == whole[:, y0:y1, x0:x1].tobytes(), (y0, y1, x0, x1)
+
+
 def _exact_sum_bits(bank: ConvKernelBank) -> float:
     """Bits that 255 * sum|w| spans in units of the smallest nonzero weight's ulp, per filter.
 
@@ -165,6 +216,27 @@ def test_scratch_stays_below_the_im2col_matrix(rng):
     finally:
         tracemalloc.stop()
     assert peak < c * 49 * h * w * 8
+
+
+def test_feature_salience_scratch_does_not_grow_with_t(rng):
+    h, w, c = 64, 64, 3
+    bank = random_bank(c, seed=0)
+    feature_map = 8 * h * w * 8
+
+    def peak_of(salience, *args) -> int:
+        tracemalloc.start()
+        try:
+            salience(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    scratch = peak_of(conv2d_apply, rng.integers(0, 256, size=(h, w, c), dtype=np.uint8), bank)
+    # every frame changes every pixel, so every window is the whole frame
+    short, long = (peak_of(feature_diff_salience, FrameVolume(rng.integers(0, 256, size=(t, h, w, c), dtype=np.uint8)),
+                           bank) for t in (20, 200))
+    assert long - short <= 8 * (200 - 20) + 64 * 1024  # the float64 score vector, plus slack
+    assert long < scratch + 3 * feature_map  # the cached map, a difference and its square
 
 
 def test_uint8_image_salience_scratch_does_not_grow_with_t(rng):
@@ -218,6 +290,34 @@ def test_uint8_feature_salience_same_bytes_under_prescott_kernel():
     child = subprocess.run([sys.executable, "-c", _UINT8_SALIENCE], env=env,
                            capture_output=True, text=True, check=True)
     assert child.stdout == here.getvalue()
+
+
+# Run in a child under the Prescott kernel, whose threads split a dgemm's
+# columns in halves: unaligned halves would leave columns to its edge kernel.
+_FLOAT32_WINDOWS = f"""
+import numpy as np
+from motionsample import conv2d_apply, random_bank
+from motionsample.kernels import _conv2d_window
+rng = np.random.default_rng(3)
+frame = rng.uniform(0, 255, size=(64, 64, 3)).astype(np.float32)
+bank = random_bank(3, seed=0)
+whole = conv2d_apply(frame, bank)
+windows = {[*_edge_windows(64, 64), (3, 60, 0, 64), (9, 64, 5, 61), (0, 51, 13, 64), (20, 63, 1, 50)]!r}
+for y0, y1, x0, x1 in windows:
+    print(_conv2d_window(frame, bank, y0, y1, x0, x1).tobytes() == whole[:, y0:y1, x0:x1].tobytes())
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine() != "x86_64" or not _uses_openblas(), reason="needs OpenBLAS on x86_64"
+)
+def test_float32_windows_have_the_whole_frame_bits_under_prescott_kernel():
+    src = str(Path(motionsample.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _FLOAT32_WINDOWS], env=env,
+                           capture_output=True, text=True, check=True)
+    assert child.stdout.split() == ["True"] * 20
 
 
 class TestWeightFile:

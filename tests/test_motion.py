@@ -274,14 +274,15 @@ def convolve_every_frame(video, bank):
 
 @pytest.fixture
 def conv_calls(monkeypatch):
-    """Counts the conv2d_apply calls feature_diff_salience makes."""
+    """Counts the convolutions (whole frame or window) feature_diff_salience runs."""
     calls = []
+    convolve = motion._conv2d_window
 
-    def counting(frame, bank):
-        calls.append(1)
-        return conv2d_apply(frame, bank)
+    def counting(frame, bank, *window):
+        calls.append(window)
+        return convolve(frame, bank, *window)
 
-    monkeypatch.setattr(motion, "conv2d_apply", counting)
+    monkeypatch.setattr(motion, "_conv2d_window", counting)
     return calls
 
 
@@ -329,6 +330,73 @@ class TestFeatureSkipsRepeats:
         frame = random_volume(rng, 1, dtype=np.float32).frames.copy()
         frame[0, 0, 0, 0] = np.inf
         assert feature_diff_salience(FrameVolume(frame), random_bank(1)).values.tolist() == [0.0]
+
+
+def block_changes(rng, h, w, c, dtype):
+    """A static background changed in small blocks, one step per frame.
+
+    Frames 1-8 change a 2x2 block at each corner and border middle, frame 9
+    one channel of one pixel, frame 10 two opposite corner pixels (so the
+    window is the whole frame), frame 11 nothing, and frame 12 every pixel.
+    """
+    frames = [random_volume(rng, 1, h=h, w=w, c=c, dtype=dtype).frames[0]]
+
+    def change(*blocks):
+        frame = frames[-1].copy()
+        for y, x, channels in blocks:
+            old = frame[y : y + 2, x : x + 2, channels]
+            if dtype == np.uint8:  # a nonzero step modulo 256 always changes the value
+                frame[y : y + 2, x : x + 2, channels] = old + rng.integers(1, 256, old.shape).astype(np.uint8)
+            else:
+                frame[y : y + 2, x : x + 2, channels] = old + rng.uniform(1, 50, old.shape).astype(np.float32)
+        frames.append(frame)
+
+    every = slice(None)
+    for y, x in [(0, 0), (0, w // 2), (0, w - 2), (h // 2, w - 1), (h - 2, w - 2), (h - 1, w // 2), (h - 2, 0), (h // 2, 0)]:
+        change((max(y, 0), max(x, 0), every))
+    change((h // 2, w // 2, slice(c - 1, c)))
+    change((0, 0, every), (h - 1, w - 1, every))
+    change()
+    change(*[(y, x, every) for y in range(0, h, 2) for x in range(0, w, 2)])
+    return FrameVolume(np.stack(frames))
+
+
+class TestFeatureWindows:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("hw", [(20, 24), (5, 6), (3, 11), (12, 4), (1, 9), (9, 1), (1, 1)])
+    def test_bitwise_equal_to_convolving_every_frame(self, rng, hw, c, dtype):
+        # random_bank(3, seed=5) misses the uint8 exactness bound, so sum order shows there too
+        v = block_changes(rng, *hw, c, dtype)
+        bank = random_bank(c, seed=5)
+        s = feature_diff_salience(v, bank).values
+        assert s.tobytes() == convolve_every_frame(v, bank).tobytes()
+        assert (s[1:11] > 0).all() and s[11] == 0.0
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_window_is_the_changed_box_widened_by_the_kernel_radius(self, rng, conv_calls, c):
+        base = random_volume(rng, 1, h=20, w=24, c=c).frames[0]
+        frames = np.repeat(base[np.newaxis], 6, axis=0)
+        frames[1:, 10, 12, 0] += 1  # one pixel
+        frames[2:, 0:2, 0:2] += 1  # a corner block
+        frames[3:, 19, 23, c - 1] += 1  # the last channel of the last pixel
+        frames[4:, 5, 23, c - 1] += 1  # the right border
+        frames[5:, 0, 0] += 1
+        frames[5:, 19, 23] += 1  # opposite corners
+        feature_diff_salience(FrameVolume(frames), random_bank(c))
+        assert conv_calls == [(0, 20, 0, 24), (7, 14, 9, 16), (0, 5, 0, 5), (16, 20, 20, 24), (2, 9, 20, 24),
+                              (0, 20, 0, 24)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_inside_a_later_window_names_its_frame(self, rng, bad):
+        frames = np.repeat(random_volume(rng, 1, h=20, w=24, dtype=np.float32).frames, 8, axis=0)
+        for t in range(1, 8):
+            frames[t:, 2 * t, 3 * t] += 1.0  # every frame changes one pixel of its own
+        frames[3:, 6, 10, 0] = bad  # first in frame 3, beside that frame's pixel (6, 9), then kept
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StructuralError, match=r"^salience entry 3 \(frame 3\) must be finite"):
+                feature_diff_salience(FrameVolume(frames), random_bank(1))
 
 
 class TestSalienceVector:
