@@ -2,8 +2,9 @@
 
 The bank is a fixed, training-free input: load it from a weight file, build
 it from a seeded Gaussian draw, or use the identity/zero test presets.
-``conv2d_apply`` runs the bank as one float64 dgemm over shifted row bands of
-the zero-padded frame: 7*C band rows instead of a 49*C-row im2col matrix.
+``conv2d_apply`` runs the bank over a frame, and ``_conv2d_window`` over any
+window of it, as a float64 dgemm over shifted row bands of the zero-padded
+input: 7*C band rows instead of a 49*C-row im2col matrix.
 
 Weight file layout (little-endian): 16-byte header = magic b"MGKB",
 uint32 channel count, 8 reserved zero bytes; then 8*C*7*7 float32 weights.
@@ -128,7 +129,25 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
     """Cross-correlate one (H, W, C) frame with the bank; returns (8, H, W).
 
     Stride 1 with zero-padding 3, so the spatial size is preserved.  This is
-    the whole-frame window of ``_conv2d_window``, which documents the layout.
+    the widest window of ``_conv2d_window``, which documents the layout.
+
+    Each output sums the same 49*C products as the direct correlation; only
+    the order of the float64 sums differs, and BLAS fixes part of it.
+    Products of uint8 pixels and float32 weights are exact, so a bank whose
+    partial sums are exact too gives the same bits in any order (README,
+    *Reproducibility notes*).
+
+    Any window gives the bits of the whole frame at its pixels.  A dgemm
+    sums each of its columns over the 7*C band rows alone, and the seven dx
+    adds run in fixed order, so only the BLAS kernel that computes a column
+    could change its bits.  Each dgemm multiplies whole 64-column blocks, so
+    every column is computed by the main kernel, never by an edge kernel for
+    a few leftover columns: OpenBLAS's SkylakeX and Prescott edge kernels sum
+    in another order, and Prescott's threads split a product's columns in
+    halves.  The split rule: a band product of 56*7C*N multiply-adds above
+    10**6 (where OpenBLAS starts to thread it) and below 2.75e6 (where its
+    threads stop being slow) runs as the fewest equal 64-column blocks of
+    at most 10**6 each, which OpenBLAS runs on one thread.
     """
     frame = np.asarray(frame)
     if frame.ndim != 3:
@@ -144,26 +163,19 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
 def _conv2d_window(frame: np.ndarray, bank: ConvKernelBank, y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
     """Output rows y0:y1 and columns x0:x1 of ``conv2d_apply(frame, bank)``; (8, y1-y0, x1-x0).
 
-    Accumulation runs in float64, as one dgemm over shifted bands.  The
-    window's input, rows y0-3:y1+3 and columns x0-3:x1+3, is read from the
-    frame into a planar (C, h+7, Wp) array, h = y1-y0 and Wp = (x1-x0)+6,
-    with zeros only where it reaches past the frame border; the extra zero
-    row gives the last band room.  Band (c, dy) is plane c read flat from
-    offset dy*Wp, h*Wp+6 values long, so its entry y*Wp + x + dx is input
-    pixel (c, y+dy, x+dx): the 7 horizontal taps of a row are one band read
-    at offsets 0..6.  The kernels as a (7*8, 7*C) matrix, rows (dx, k) and
-    columns (c, dy), times the (7*C, h*Wp+6) bands give Y (7, 8, h*Wp+6).
-    Output (k, y, x) is Y[0, k, y*Wp + x] + ... + Y[6, k, y*Wp + x + 6],
-    added in that order, with the 6 pad columns of each row cropped.
-
-    Each output sums the same 49*C products as the direct correlation, and
-    in the same order for every window that contains it: a dgemm sums each
-    of its columns over the 7*C band rows alone, and the dx adds run in
-    fixed order.  So a window gives the bits the whole frame gives there.
-    Against the direct correlation only the order of the float64 sums
-    differs, and BLAS fixes part of it.  Products of uint8 pixels and float32
-    weights are exact, so a bank whose partial sums are exact too gives the
-    same bits in any order (README, *Reproducibility notes*).
+    Accumulation runs in float64, as one band product over shifted bands.
+    The window's input, rows y0-3:y1+3 and columns x0-3:x1+3, is read from
+    the frame into a planar (C, R, Wp) array, Wp = (x1-x0)+6, with zeros
+    only where it reaches past the frame border and in the rows below it.
+    Band (c, dy) is plane c read flat from offset dy*Wp, n values long, n =
+    h*Wp+6 rounded up to a multiple of 64, h = y1-y0; so its entry
+    y*Wp + x + dx is input pixel (c, y+dy, x+dx): the 7 horizontal taps of a
+    row are one band read at offsets 0..6.  The kernels as a (7*8, 7*C)
+    matrix, rows (dx, k) and columns (c, dy), times the (7*C, n) bands give
+    Y (7, 8, n), one dgemm per block of ``_dgemm_blocks``.  Output (k, y, x)
+    is Y[0, k, y*Wp + x] + ... + Y[6, k, y*Wp + x + 6], added in that order,
+    with the 6 pad columns of each row cropped; no output reads the columns
+    past h*Wp.
     """
     h, w, c = frame.shape
     pad, size = KERNEL_PADDING, KERNEL_SIZE

@@ -188,15 +188,17 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
 
     Only the window a frame's changes can reach is convolved: the bounding
     box of the pixels that differ from the previous frame, widened by the
-    3-pixel kernel radius and clipped to the frame.  Outside it the feature
-    map equals the cached one, so its differences and norms are exactly 0.
-    The window's norms are written into a zero (H, W) map, which is summed
-    whole, in the order a whole-frame difference would sum it, and each
-    feature value in the window has the whole frame's bits
-    (``_conv2d_window``), so the scores are the bits of convolving every
-    frame whole while the cost of a clip scales with its changed pixels.
-    A frame bit-identical to its predecessor has no window and scores 0.
-    Pixels compare by value, so 0.0 and -0.0 are equal; they can change a
+    3-pixel kernel radius and clipped to the frame, so the cost of a clip
+    scales with its changed pixels.  Outside the window the feature map
+    equals the cached one, so its differences and norms are exactly 0.  The
+    window's norms are written into a zero (H, W) map that is summed whole,
+    in the order a whole-frame difference sums it, and every feature value
+    in the window has the whole frame's bits (``conv2d_apply`` says why, and
+    how the band product is split into blocks).  So the scores are the bits
+    of convolving every frame whole.  A frame bit-identical to its
+    predecessor has no window and scores 0.
+
+    Pixels compare by value, so 0.0 and -0.0 are equal; the two can change a
     feature value only in the sign of a zero, which no square can see.  A
     NaN never compares equal, so it lies inside its frame's window and is
     rejected as non-finite.  An infinity does compare equal, so the first
