@@ -191,12 +191,13 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     3-pixel kernel radius and clipped to the frame, so the cost of a clip
     scales with its changed pixels.  Outside the window the feature map
     equals the cached one, so its differences and norms are exactly 0.  The
-    window's norms are written into a zero (H, W) map that is summed whole,
-    in the order a whole-frame difference sums it, and every feature value
-    in the window has the whole frame's bits (``conv2d_apply`` says why, and
-    how the band product is split into blocks).  So the scores are the bits
-    of convolving every frame whole.  A frame bit-identical to its
-    predecessor has no window and scores 0.
+    window's differences are squared in place in the cached map, which then
+    takes the new features, and the window's norms are written into a zero
+    (H, W) map that is summed whole, in the order a whole-frame difference
+    sums it.  Every feature value in the window has the whole frame's bits
+    (``conv2d_apply`` says why, and how the band product is split into
+    blocks), so the scores are the bits of convolving every frame whole.  A
+    frame bit-identical to its predecessor has no window and scores 0.
 
     Pixels compare by value, so 0.0 and -0.0 are equal; the two can change a
     feature value only in the sign of a zero, which no square can see.  A
@@ -229,11 +230,13 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
             y0, y1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, h)
             x0, x1 = max(cols[0] // c - r, 0), min(cols[-1] // c + r + 1, w)
             cur = _conv2d_window(frames[t], bank, y0, y1, x0, x1)
-            old = feats[:, y0:y1, x0:x1]
-            norms[y0:y1, x0:x1] = np.sqrt(np.square(cur - old).sum(axis=0))
+            cached = feats[:, y0:y1, x0:x1]
+            np.subtract(cached, cur, out=cached)  # -(cur - cached), exactly: the same squares
+            np.square(cached, out=cached)
+            np.sqrt(cached.sum(axis=0), out=norms[y0:y1, x0:x1])
             out[t] = norms.sum()
             norms[y0:y1, x0:x1] = 0.0
-            old[...] = cur
+            cached[...] = cur
     return _salience_vector(out, frames)
 
 
