@@ -336,7 +336,7 @@ def block_changes(rng, h, w, c, dtype):
     """A static background changed in small blocks, one step per frame.
 
     Frames 1-8 change a 2x2 block at each corner and border middle, frame 9
-    one channel of one pixel, frame 10 two opposite corner pixels (so the
+    one channel of one pixel, frame 10 the two opposite corners (so the
     window is the whole frame), frame 11 nothing, and frame 12 every pixel.
     """
     frames = [random_volume(rng, 1, h=h, w=w, c=c, dtype=dtype).frames[0]]
@@ -353,7 +353,7 @@ def block_changes(rng, h, w, c, dtype):
 
     every = slice(None)
     for y, x in [(0, 0), (0, w // 2), (0, w - 2), (h // 2, w - 1), (h - 2, w - 2), (h - 1, w // 2), (h - 2, 0), (h // 2, 0)]:
-        change((max(y, 0), max(x, 0), every))
+        change((max(y, 0), max(x, 0), every))  # clipped on frames one pixel high or wide
     change((h // 2, w // 2, slice(c - 1, c)))
     change((0, 0, every), (h - 1, w - 1, every))
     change()
