@@ -156,13 +156,29 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
         raise ConfigError(
             f"kernel bank expects {bank.channels} channel(s), frame has {frame.shape[2]}"
         )
-    h, w, _ = frame.shape
-    return _conv2d_window(frame, bank, 0, h, 0, w)
+    h, w, c = frame.shape
+    return np.ascontiguousarray(_conv2d_window(frame, bank, 0, h, 0, w, _window_scratch(h, w, c)))
 
 
-def _conv2d_window(frame: np.ndarray, bank: ConvKernelBank, y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
+def _window_scratch(h: int, w: int, c: int) -> tuple[np.ndarray, ...]:
+    """Flat buffers for the temporaries of ``_conv2d_window`` on (H, W, C) frames.
+
+    They are sized for the whole frame, so one set serves every window of a
+    clip, and the allocator sees one size per clip rather than one per window.
+    """
+    wp = w + 2 * KERNEL_PADDING
+    n = -(-(h * wp + KERNEL_SIZE - 1) // _COLUMN_BLOCK) * _COLUMN_BLOCK
+    return (np.empty(c * (KERNEL_SIZE * wp + n)), np.empty(c * KERNEL_SIZE * n),
+            np.empty(KERNEL_SIZE * KERNEL_COUNT * n), np.empty(KERNEL_COUNT * h * wp))
+
+
+def _conv2d_window(
+    frame: np.ndarray, bank: ConvKernelBank, y0: int, y1: int, x0: int, x1: int, scratch: tuple[np.ndarray, ...]
+) -> np.ndarray:
     """Output rows y0:y1 and columns x0:x1 of ``conv2d_apply(frame, bank)``; (8, y1-y0, x1-x0).
 
+    The result is a view into ``scratch`` (from ``_window_scratch`` for the
+    frame's shape), valid until the next call that uses the same buffers.
     Accumulation runs in float64, as one band product over shifted bands.
     The window's input, rows y0-3:y1+3 and columns x0-3:x1+3, is read from
     the frame into a planar (C, R, Wp) array, Wp = (x1-x0)+6, with zeros
@@ -182,19 +198,25 @@ def _conv2d_window(frame: np.ndarray, bank: ConvKernelBank, y0: int, y1: int, x0
     wp = x1 - x0 + 2 * pad
     span = (y1 - y0) * wp
     n = -(-(span + size - 1) // _COLUMN_BLOCK) * _COLUMN_BLOCK  # band length, rounded up
-    padded = np.zeros((c, size - 1 + -(-n // wp), wp))
+    rows = size - 1 + -(-n // wp)
+    flat_padded, flat_bands, flat_partial, flat_out = scratch
+    padded = flat_padded[: c * rows * wp].reshape(c, rows, wp)
+    padded[...] = 0.0
     iy0, iy1, ix0, ix1 = max(y0 - pad, 0), min(y1 + pad, h), max(x0 - pad, 0), min(x1 + pad, w)
     padded[:, iy0 - y0 + pad : iy1 - y0 + pad, ix0 - x0 + pad : ix1 - x0 + pad] = np.moveaxis(
         frame[iy0:iy1, ix0:ix1], 2, 0
     )
     windows = np.lib.stride_tricks.sliding_window_view(padded.reshape(c, -1), n, axis=1)
-    bands = windows[:, : size * wp : wp].reshape(c * size, -1)  # rows (c, dy), a copy
+    bands = flat_bands[: c * size * n].reshape(c, size, n)
+    np.copyto(bands, windows[:, : size * wp : wp])
+    bands = bands.reshape(c * size, n)  # rows (c, dy)
     taps = bank.kernels.astype(np.float64).transpose(3, 0, 1, 2).reshape(size * KERNEL_COUNT, c * size)
-    partial = np.empty((size * KERNEL_COUNT, n))
+    partial = flat_partial[: size * KERNEL_COUNT * n].reshape(size * KERNEL_COUNT, n)
     for cols in _dgemm_blocks(n, c * size):
         np.matmul(taps, bands[:, cols], out=partial[:, cols])
-    partial = partial.reshape(size, KERNEL_COUNT, -1)  # Y
-    out = partial[0, :, :span] + partial[1, :, 1 : 1 + span]
+    partial = partial.reshape(size, KERNEL_COUNT, n)  # Y
+    out = flat_out[: KERNEL_COUNT * span].reshape(KERNEL_COUNT, span)
+    np.add(partial[0, :, :span], partial[1, :, 1 : 1 + span], out=out)
     for dx in range(2, size):
         out += partial[dx, :, dx : dx + span]
-    return np.ascontiguousarray(out.reshape(KERNEL_COUNT, y1 - y0, wp)[:, :, : x1 - x0])
+    return out.reshape(KERNEL_COUNT, y1 - y0, wp)[:, :, : x1 - x0]

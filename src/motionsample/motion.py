@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .kernels import KERNEL_PADDING, ConvKernelBank, _conv2d_window
+from .kernels import KERNEL_PADDING, ConvKernelBank, _conv2d_window, _window_scratch
 
 DISTRIBUTION_SUM_TOL = 1e-9
 _CHUNK_BYTES = 128 * 1024  # uint8 image salience: size cap of each of its two difference buffers
@@ -194,10 +194,12 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     window's differences are squared in place in the cached map, which then
     takes the new features, and the window's norms are written into a zero
     (H, W) map that is summed whole, in the order a whole-frame difference
-    sums it.  Every feature value in the window has the whole frame's bits
-    (``conv2d_apply`` says why, and how the band product is split into
-    blocks), so the scores are the bits of convolving every frame whole.  A
-    frame bit-identical to its predecessor has no window and scores 0.
+    sums it.  One set of whole-frame convolution buffers serves every
+    window of the clip.  Every feature value in the window has the whole
+    frame's bits (``conv2d_apply`` says why, and how the band product is
+    split into blocks), so the scores are the bits of convolving every frame
+    whole.  A frame bit-identical to its predecessor has no window and
+    scores 0.
 
     Pixels compare by value, so 0.0 and -0.0 are equal; the two can change a
     feature value only in the sign of a zero, which no square can see.  A
@@ -218,7 +220,8 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     out = np.zeros(t_count, dtype=np.float64)
     r = KERNEL_PADDING
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the errors below name the frame
-        feats = _conv2d_window(frames[0], bank, 0, h, 0, w)  # updated in place, window by window
+        scratch = _window_scratch(h, w, c)  # one set of convolution buffers for every window
+        feats = _conv2d_window(frames[0], bank, 0, h, 0, w, scratch).copy()  # updated in place, window by window
         if t_count > 1 and not np.isfinite(feats).all():
             raise StructuralError("salience entry 1 (frame 0) must be finite and >= 0")
         for t in range(1, t_count):
@@ -229,7 +232,7 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
             cols = np.flatnonzero(changed.any(axis=0))
             y0, y1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, h)
             x0, x1 = max(cols[0] // c - r, 0), min(cols[-1] // c + r + 1, w)
-            cur = _conv2d_window(frames[t], bank, y0, y1, x0, x1)
+            cur = _conv2d_window(frames[t], bank, y0, y1, x0, x1, scratch)
             cached = feats[:, y0:y1, x0:x1]
             np.subtract(cached, cur, out=cached)  # -(cur - cached), exactly: the same squares
             np.square(cached, out=cached)

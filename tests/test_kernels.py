@@ -26,7 +26,7 @@ from motionsample import (
     save_kernel_bank,
     zero_bank,
 )
-from motionsample.kernels import _conv2d_window, _dgemm_blocks
+from motionsample.kernels import _conv2d_window, _dgemm_blocks, _window_scratch
 from oracles import loop_conv2d, tensordot_conv2d
 import motionsample
 
@@ -179,8 +179,9 @@ class TestConv2dWindow:
             frame = rng.uniform(0, 255, size=(*hw, c)).astype(np.float32)
         bank = random_bank(c, seed=5)
         whole = conv2d_apply(frame, bank)
+        scratch = _window_scratch(*frame.shape)  # shared by every window, as in a clip
         for y0, y1, x0, x1 in _edge_windows(*hw):
-            window = _conv2d_window(frame, bank, y0, y1, x0, x1)
+            window = _conv2d_window(frame, bank, y0, y1, x0, x1, scratch)
             assert window.tobytes() == whole[:, y0:y1, x0:x1].tobytes(), (y0, y1, x0, x1)
 
 
@@ -233,11 +234,12 @@ def test_feature_salience_scratch_does_not_grow_with_t(rng):
 
     scratch = peak_of(conv2d_apply, rng.integers(0, 256, size=(h, w, c), dtype=np.uint8), bank)
     # every frame changes every pixel, so every window is the whole frame
-    short, long = (FrameVolume(rng.integers(0, 256, size=(t, h, w, c), dtype=np.uint8)) for t in (20, 200))
-    feature_diff_salience(short, bank)  # numpy's first-call allocations stay out of the peaks
-    short, long = peak_of(feature_diff_salience, short, bank), peak_of(feature_diff_salience, long, bank)
+    clips = [FrameVolume(rng.integers(0, 256, size=(t, h, w, c), dtype=np.uint8)) for t in (20, 200)]
+    for clip in clips:  # numpy's first-call allocations stay out of the peaks
+        feature_diff_salience(clip, bank)
+    short, long = (peak_of(feature_diff_salience, clip, bank) for clip in clips)
     assert long - short <= 8 * (200 - 20) + 64 * 1024  # the float64 score vector, plus slack
-    assert long < scratch + 3 * feature_map  # the cached map and the last window's features, plus slack
+    assert long < scratch + 2 * feature_map  # the cached map, plus slack
 
 
 def test_uint8_image_salience_scratch_does_not_grow_with_t(rng):
@@ -298,14 +300,15 @@ def test_uint8_feature_salience_same_bytes_under_prescott_kernel():
 _FLOAT32_WINDOWS = f"""
 import numpy as np
 from motionsample import conv2d_apply, random_bank
-from motionsample.kernels import _conv2d_window
+from motionsample.kernels import _conv2d_window, _window_scratch
 rng = np.random.default_rng(3)
 frame = rng.uniform(0, 255, size=(64, 64, 3)).astype(np.float32)
 bank = random_bank(3, seed=0)
 whole = conv2d_apply(frame, bank)
+scratch = _window_scratch(64, 64, 3)
 windows = {[*_edge_windows(64, 64), (3, 60, 0, 64), (9, 64, 5, 61), (0, 51, 13, 64), (20, 63, 1, 50)]!r}
 for y0, y1, x0, x1 in windows:
-    print(_conv2d_window(frame, bank, y0, y1, x0, x1).tobytes() == whole[:, y0:y1, x0:x1].tobytes())
+    print(_conv2d_window(frame, bank, y0, y1, x0, x1, scratch).tobytes() == whole[:, y0:y1, x0:x1].tobytes())
 """
 
 

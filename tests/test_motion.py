@@ -278,9 +278,9 @@ def conv_calls(monkeypatch):
     calls = []
     convolve = motion._conv2d_window
 
-    def counting(frame, bank, *window):
-        calls.append(window)
-        return convolve(frame, bank, *window)
+    def counting(frame, bank, *window_and_scratch):
+        calls.append(window_and_scratch[:4])
+        return convolve(frame, bank, *window_and_scratch)
 
     monkeypatch.setattr(motion, "_conv2d_window", counting)
     return calls
