@@ -102,27 +102,6 @@ def load_kernel_bank(path) -> ConvKernelBank:
 # Every dgemm multiplies whole 64-column blocks, so no column that reaches the
 # output is left to a BLAS edge kernel, which may sum in another order.
 _COLUMN_BLOCK = 64
-# OpenBLAS (0.3.31, 2 threads) runs a dgemm of up to 10**6 multiply-adds on
-# one thread.  Above that it threads, and up to 2.75e6 the (56, 21) products
-# of 3-channel bands then took 3-5x as long as single-threaded blocks of the
-# same columns (BENCH_feature_window.json).
-_ONE_THREAD_DGEMM = 10**6
-_SLOW_THREADED_DGEMM = 2_750_000
-
-
-def _dgemm_blocks(n: int, k: int) -> tuple[slice, ...]:
-    """Column blocks, one dgemm each, for the (56, k) @ (k, n) band product.
-
-    n is a multiple of 64.  A product in OpenBLAS's slow threaded range is
-    cut into the fewest equal 64-column blocks that each run on one thread.
-    """
-    rows = KERNEL_COUNT * KERNEL_SIZE
-    if not _ONE_THREAD_DGEMM < rows * k * n < _SLOW_THREADED_DGEMM:
-        return (slice(0, n),)
-    widest = _ONE_THREAD_DGEMM // (rows * k) // _COLUMN_BLOCK * _COLUMN_BLOCK
-    parts = -(-n // widest)
-    width = -(-n // (parts * _COLUMN_BLOCK)) * _COLUMN_BLOCK
-    return tuple(slice(a, min(a + width, n)) for a in range(0, n, width))
 
 
 def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
@@ -143,11 +122,7 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
     could change its bits.  Each dgemm multiplies whole 64-column blocks, so
     every column is computed by the main kernel, never by an edge kernel for
     a few leftover columns: OpenBLAS's SkylakeX and Prescott edge kernels sum
-    in another order, and Prescott's threads split a product's columns in
-    halves.  The split rule: a band product of 56*7C*N multiply-adds above
-    10**6 (where OpenBLAS starts to thread it) and below 2.75e6 (where its
-    threads stop being slow) runs as the fewest equal 64-column blocks of
-    at most 10**6 each, which OpenBLAS runs on one thread.
+    in another order (README, *Reproducibility notes*).
     """
     frame = np.asarray(frame)
     if frame.ndim != 3:
@@ -188,7 +163,7 @@ def _conv2d_window(
     y*Wp + x + dx is input pixel (c, y+dy, x+dx): the 7 horizontal taps of a
     row are one band read at offsets 0..6.  The kernels as a (7*8, 7*C)
     matrix, rows (dx, k) and columns (c, dy), times the (7*C, n) bands give
-    Y (7, 8, n), one dgemm per block of ``_dgemm_blocks``.  Output (k, y, x)
+    Y (7, 8, n) in one dgemm.  Output (k, y, x)
     is Y[0, k, y*Wp + x] + ... + Y[6, k, y*Wp + x + 6], added in that order,
     with the 6 pad columns of each row cropped; no output reads the columns
     past h*Wp.
@@ -212,8 +187,7 @@ def _conv2d_window(
     bands = bands.reshape(c * size, n)  # rows (c, dy)
     taps = bank.kernels.astype(np.float64).transpose(3, 0, 1, 2).reshape(size * KERNEL_COUNT, c * size)
     partial = flat_partial[: size * KERNEL_COUNT * n].reshape(size * KERNEL_COUNT, n)
-    for cols in _dgemm_blocks(n, c * size):
-        np.matmul(taps, bands[:, cols], out=partial[:, cols])
+    np.matmul(taps, bands, out=partial)
     partial = partial.reshape(size, KERNEL_COUNT, n)  # Y
     out = flat_out[: KERNEL_COUNT * span].reshape(KERNEL_COUNT, span)
     np.add(partial[0, :, :span], partial[1, :, 1 : 1 + span], out=out)

@@ -196,9 +196,8 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     (H, W) map that is summed whole, in the order a whole-frame difference
     sums it.  One set of whole-frame convolution buffers serves every
     window of the clip.  Every feature value in the window has the whole
-    frame's bits (``conv2d_apply`` says why, and how the band product is
-    split into blocks), so the scores are the bits of convolving every frame
-    whole.  A frame bit-identical to its predecessor has no window and
+    frame's bits (``conv2d_apply`` says why), so the scores are the bits of
+    convolving every frame whole.  A frame bit-identical to its predecessor has no window and
     scores 0.
 
     Pixels compare by value, so 0.0 and -0.0 are equal; the two can change a

@@ -10,7 +10,8 @@ a time for 300x300x3 frames, each past the 128 KiB chunk budget), and three
 uint8 clips whose frames change only in small blocks on a static textured
 background (the feature convolution's changed windows: each border and
 corner, one pixel, two opposite corners at once, and a 32x32x3 frame whose
-whole-frame dgemm has 1222 columns).  Each
+whole-frame dgemm has 1280 columns, 1222 rounded up to whole 64-column
+blocks).  Each
 case runs ``motionsample.cli.main`` in-process and records the sha256 of its
 exit code, stdout, stderr and every file it wrote; the corpus root is
 replaced by ``ROOT`` in stdout and stderr first.  The digests live in

@@ -26,7 +26,7 @@ from motionsample import (
     save_kernel_bank,
     zero_bank,
 )
-from motionsample.kernels import _conv2d_window, _dgemm_blocks, _window_scratch
+from motionsample.kernels import _conv2d_window, _window_scratch
 from oracles import loop_conv2d, tensordot_conv2d
 import motionsample
 
@@ -140,20 +140,15 @@ def _band_columns(h: int, w: int) -> int:
     return -(-(h * (w + 6) + 6) // 64) * 64
 
 
-# (h, w, c, dgemm blocks): band products just below and above OpenBLAS's
-# one-thread limit (10**6 multiply-adds) and its slow threaded range (2.75e6)
-_SPLIT_EDGES = [(25, 26, 3, 1), (27, 26, 3, 2), (71, 26, 3, 3), (73, 26, 3, 1),
-                (77, 26, 1, 1), (79, 26, 1, 2), (217, 26, 1, 3), (219, 26, 1, 1)]
+# (h, w, c, threaded): band products just below and above OpenBLAS's
+# one-thread limit (10**6 multiply-adds), and threaded ones of about 2.7e6-2.8e6
+_THREADING_EDGES = [(25, 26, 3, False), (27, 26, 3, True), (71, 26, 3, True), (73, 26, 3, True),
+                    (77, 26, 1, False), (79, 26, 1, True), (217, 26, 1, True), (219, 26, 1, True)]
 
 
-@pytest.mark.parametrize("h, w, c, blocks", _SPLIT_EDGES)
-def test_uint8_bitwise_on_each_side_of_the_dgemm_split(rng, h, w, c, blocks):
-    n = _band_columns(h, w)
-    cols = _dgemm_blocks(n, 7 * c)
-    assert len(cols) == blocks
-    assert [b.start for b in cols] == [0] + [b.stop for b in cols[:-1]] and cols[-1].stop == n
-    assert all(b.start % 64 == 0 for b in cols)
-    assert blocks == 1 or all(56 * 7 * c * (b.stop - b.start) <= 10**6 for b in cols)
+@pytest.mark.parametrize("h, w, c, threaded", _THREADING_EDGES)
+def test_uint8_bitwise_on_each_side_of_the_dgemm_threading_limit(rng, h, w, c, threaded):
+    assert (56 * 7 * c * _band_columns(h, w) > 10**6) == threaded
     frame = rng.integers(0, 256, size=(h, w, c), dtype=np.uint8)
     bank = random_bank(c, seed=0)
     assert conv2d_apply(frame, bank).tobytes() == tensordot_conv2d(frame, bank.kernels).tobytes()
@@ -168,7 +163,7 @@ def _edge_windows(h: int, w: int):
 
 class TestConv2dWindow:
     # random_bank(3, seed=5) misses the uint8 exactness bound, so sum order shows there too;
-    # 40x41 and the 27x26 and 71x26 frames run their dgemm in blocks
+    # at C = 3 the 40x41, 27x26 and 71x26 frames run a threaded dgemm
     @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
     @pytest.mark.parametrize("c", [1, 3])
     @pytest.mark.parametrize("hw", [(20, 24), (5, 6), (3, 11), (12, 4), (1, 1), (40, 41), (27, 26), (71, 26)])
@@ -295,8 +290,9 @@ def test_uint8_feature_salience_same_bytes_under_prescott_kernel():
     assert child.stdout == here.getvalue()
 
 
-# Run in a child under the Prescott kernel, whose threads split a dgemm's
-# columns in halves: unaligned halves would leave columns to its edge kernel.
+# Run in children under the Prescott kernel on 1, 2 and 3 OpenBLAS threads:
+# the threads split a whole frame's dgemm by columns, and a split point off
+# the kernel's column blocks would leave columns to its edge kernel.
 _FLOAT32_WINDOWS = f"""
 import numpy as np
 from motionsample import conv2d_apply, random_bank
@@ -315,9 +311,10 @@ for y0, y1, x0, x1 in windows:
 @pytest.mark.skipif(
     platform.machine() != "x86_64" or not _uses_openblas(), reason="needs OpenBLAS on x86_64"
 )
-def test_float32_windows_have_the_whole_frame_bits_under_prescott_kernel():
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_float32_windows_have_the_whole_frame_bits_under_prescott_kernel(threads):
     src = str(Path(motionsample.__file__).parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": threads,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     child = subprocess.run([sys.executable, "-c", _FLOAT32_WINDOWS], env=env,
                            capture_output=True, text=True, check=True)
