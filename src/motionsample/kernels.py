@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,13 @@ class ConvKernelBank:
     @property
     def channels(self) -> int:
         return self.kernels.shape[1]
+
+    @cached_property
+    def _taps(self) -> np.ndarray:
+        """Read-only float64 (7*8, 7*C) weights of ``_conv2d_window``: rows (dx, k), columns (c, dy)."""
+        taps = self.kernels.astype(np.float64).transpose(3, 0, 1, 2).reshape(KERNEL_SIZE * KERNEL_COUNT, -1)
+        taps.flags.writeable = False
+        return taps
 
 
 def identity_bank(channels: int = 1) -> ConvKernelBank:
@@ -109,20 +117,9 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
 
     Stride 1 with zero-padding 3, so the spatial size is preserved.  This is
     the widest window of ``_conv2d_window``, which documents the layout.
-
-    Each output sums the same 49*C products as the direct correlation; only
-    the order of the float64 sums differs, and BLAS fixes part of it.
-    Products of uint8 pixels and float32 weights are exact, so a bank whose
-    partial sums are exact too gives the same bits in any order (README,
-    *Reproducibility notes*).
-
-    Any window gives the bits of the whole frame at its pixels.  A dgemm
-    sums each of its columns over the 7*C band rows alone, and the seven dx
-    adds run in fixed order, so only the BLAS kernel that computes a column
-    could change its bits.  Each dgemm multiplies whole 64-column blocks, so
-    every column is computed by the main kernel, never by an edge kernel for
-    a few leftover columns: OpenBLAS's SkylakeX and Prescott edge kernels sum
-    in another order (README, *Reproducibility notes*).
+    Each output sums the same 49*C products as the direct correlation, in a
+    float64 order that BLAS fixes in part; README, *Reproducibility notes*,
+    says which bits that leaves to the BLAS kernel.
     """
     frame = np.asarray(frame)
     if frame.ndim != 3:
@@ -136,15 +133,17 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
 
 
 def _window_scratch(h: int, w: int, c: int) -> tuple[np.ndarray, ...]:
-    """Flat buffers for the temporaries of ``_conv2d_window`` on (H, W, C) frames.
+    """Flat buffers for ``_conv2d_window`` on (H, W, C) frames: padded input, bands, band product, output.
 
     They are sized for the whole frame, so one set serves every window of a
-    clip, and the allocator sees one size per clip rather than one per window.
+    clip.  Each call refills the bands and the band product, so they are free
+    between calls; the output buffer holds the last window's output as the
+    (8, n) block from offset 0 that the returned view crops.
     """
     wp = w + 2 * KERNEL_PADDING
     n = -(-(h * wp + KERNEL_SIZE - 1) // _COLUMN_BLOCK) * _COLUMN_BLOCK
     return (np.empty(c * (KERNEL_SIZE * wp + n)), np.empty(c * KERNEL_SIZE * n),
-            np.empty(KERNEL_SIZE * KERNEL_COUNT * n), np.empty(KERNEL_COUNT * h * wp))
+            np.empty(KERNEL_SIZE * KERNEL_COUNT * n), np.empty(KERNEL_COUNT * n))
 
 
 def _conv2d_window(
@@ -163,10 +162,11 @@ def _conv2d_window(
     y*Wp + x + dx is input pixel (c, y+dy, x+dx): the 7 horizontal taps of a
     row are one band read at offsets 0..6.  The kernels as a (7*8, 7*C)
     matrix, rows (dx, k) and columns (c, dy), times the (7*C, n) bands give
-    Y (7, 8, n) in one dgemm.  Output (k, y, x)
-    is Y[0, k, y*Wp + x] + ... + Y[6, k, y*Wp + x + 6], added in that order,
-    with the 6 pad columns of each row cropped; no output reads the columns
-    past h*Wp.
+    Y (7, 8, n) in one dgemm.  Output (k, y, x) is Y[0, k, y*Wp + x] + ... +
+    Y[6, k, y*Wp + x + 6], added in that order, each add once over a dx slab
+    read flat; the columns past h*Wp, which mix in the next filter's row,
+    and the 6 pad columns of each row are cropped.  Each value has the whole
+    frame's bits (README, *Reproducibility notes*).
     """
     h, w, c = frame.shape
     pad, size = KERNEL_PADDING, KERNEL_SIZE
@@ -181,16 +181,15 @@ def _conv2d_window(
     padded[:, iy0 - y0 + pad : iy1 - y0 + pad, ix0 - x0 + pad : ix1 - x0 + pad] = np.moveaxis(
         frame[iy0:iy1, ix0:ix1], 2, 0
     )
-    windows = np.lib.stride_tricks.sliding_window_view(padded.reshape(c, -1), n, axis=1)
-    bands = flat_bands[: c * size * n].reshape(c, size, n)
-    np.copyto(bands, windows[:, : size * wp : wp])
+    bands = flat_bands[: c * size * n].reshape(c, size, n)  # band (c, dy): padded's strides, n values long
+    np.copyto(bands, np.ndarray((c, size, n), buffer=flat_padded, strides=padded.strides))
     bands = bands.reshape(c * size, n)  # rows (c, dy)
-    taps = bank.kernels.astype(np.float64).transpose(3, 0, 1, 2).reshape(size * KERNEL_COUNT, c * size)
     partial = flat_partial[: size * KERNEL_COUNT * n].reshape(size * KERNEL_COUNT, n)
-    np.matmul(taps, bands, out=partial)
-    partial = partial.reshape(size, KERNEL_COUNT, n)  # Y
-    out = flat_out[: KERNEL_COUNT * span].reshape(KERNEL_COUNT, span)
-    np.add(partial[0, :, :span], partial[1, :, 1 : 1 + span], out=out)
+    np.matmul(bank._taps, bands, out=partial)
+    partial = partial.reshape(size, KERNEL_COUNT * n)  # Y, each dx slab flat over (k, column)
+    out = flat_out[: KERNEL_COUNT * n - size + 1]  # so no read passes the end of its slab
+    np.add(partial[0, : out.size], partial[1, 1 : 1 + out.size], out=out)
     for dx in range(2, size):
-        out += partial[dx, :, dx : dx + span]
+        out += partial[dx, dx : dx + out.size]
+    out = flat_out[: KERNEL_COUNT * n].reshape(KERNEL_COUNT, n)[:, :span]
     return out.reshape(KERNEL_COUNT, y1 - y0, wp)[:, :, : x1 - x0]

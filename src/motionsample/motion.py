@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .kernels import KERNEL_PADDING, ConvKernelBank, _conv2d_window, _window_scratch
+from .kernels import KERNEL_COUNT, KERNEL_PADDING, ConvKernelBank, _conv2d_window, _window_scratch
 
 DISTRIBUTION_SUM_TOL = 1e-9
 _CHUNK_BYTES = 128 * 1024  # uint8 image salience: size cap of each of its two difference buffers
@@ -188,17 +188,11 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
 
     Only the window a frame's changes can reach is convolved: the bounding
     box of the pixels that differ from the previous frame, widened by the
-    3-pixel kernel radius and clipped to the frame, so the cost of a clip
-    scales with its changed pixels.  Outside the window the feature map
-    equals the cached one, so its differences and norms are exactly 0.  The
-    window's differences are squared in place in the cached map, which then
-    takes the new features, and the window's norms are written into a zero
-    (H, W) map that is summed whole, in the order a whole-frame difference
-    sums it.  One set of whole-frame convolution buffers serves every
-    window of the clip.  Every feature value in the window has the whole
-    frame's bits (``conv2d_apply`` says why), so the scores are the bits of
-    convolving every frame whole.  A frame bit-identical to its predecessor has no window and
-    scores 0.
+    3-pixel kernel radius and clipped to the frame.  A frame bit-identical
+    to its predecessor has no window and scores 0.  The scores have the bits
+    of convolving every frame whole (README, *Reproducibility notes*).  The
+    scratch, whole-frame convolution buffers, the cached feature map and an
+    (H, W) norm map, does not grow with T.
 
     Pixels compare by value, so 0.0 and -0.0 are equal; the two can change a
     feature value only in the sign of a zero, which no square can see.  A
@@ -214,31 +208,38 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     frames = video.frames
     t_count, h, w, c = frames.shape
     flat = frames.reshape(t_count, h, w * c)  # one row of pixels is W*C values
-    changed = np.empty((h, w * c), dtype=bool)
     norms = np.zeros((h, w))
     out = np.zeros(t_count, dtype=np.float64)
     r = KERNEL_PADDING
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the errors below name the frame
         scratch = _window_scratch(h, w, c)  # one set of convolution buffers for every window
+        masks, spent, conv = scratch[1].view(np.bool_), scratch[2], scratch[3]  # the first two free between windows
         feats = _conv2d_window(frames[0], bank, 0, h, 0, w, scratch).copy()  # updated in place, window by window
         if t_count > 1 and not np.isfinite(feats).all():
             raise StructuralError("salience entry 1 (frame 0) must be finite and >= 0")
-        for t in range(1, t_count):
-            np.not_equal(flat[t], flat[t - 1], out=changed)
-            rows = np.flatnonzero(changed.any(axis=1))
-            if rows.size == 0:
-                continue
-            cols = np.flatnonzero(changed.any(axis=0))
-            y0, y1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, h)
-            x0, x1 = max(cols[0] // c - r, 0), min(cols[-1] // c + r + 1, w)
-            cur = _conv2d_window(frames[t], bank, y0, y1, x0, x1, scratch)
-            cached = feats[:, y0:y1, x0:x1]
-            np.subtract(cached, cur, out=cached)  # -(cur - cached), exactly: the same squares
-            np.square(cached, out=cached)
-            np.sqrt(cached.sum(axis=0), out=norms[y0:y1, x0:x1])
-            out[t] = norms.sum()
-            norms[y0:y1, x0:x1] = 0.0
-            cached[...] = cur
+        k = max(1, min(t_count - 1, masks.size // flat[0].size))
+        for s in range(1, t_count, k):
+            e = min(s + k, t_count)
+            changed = masks[: (e - s) * flat[0].size].reshape(e - s, h, w * c)
+            np.not_equal(flat[s:e], flat[s - 1 : e - 1], out=changed)
+            for t, row_mask, col_mask in zip(range(s, e), changed.any(axis=2), changed.any(axis=1)):
+                rows = np.flatnonzero(row_mask)
+                if rows.size == 0:
+                    continue
+                cols = np.flatnonzero(col_mask)
+                y0, y1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, h)
+                x0, x1 = max(cols[0] // c - r, 0), min(cols[-1] // c + r + 1, w)
+                cur = _conv2d_window(frames[t], bank, y0, y1, x0, x1, scratch)
+                cached = feats[:, y0:y1, x0:x1]
+                diff = spent[: KERNEL_COUNT * cur.strides[0] // cur.itemsize]  # conv's (8, n) block
+                window = np.ndarray(cur.shape, buffer=spent, strides=cur.strides)  # where cur sits in it
+                np.copyto(window, cached)
+                np.subtract(diff, conv[: diff.size], out=diff)  # -(cur - cached), exactly: the same squares
+                np.square(diff, out=diff)
+                np.sqrt(window.sum(axis=0), out=norms[y0:y1, x0:x1])  # the cropped view keeps the sum order
+                out[t] = norms.sum()
+                norms[y0:y1, x0:x1] = 0.0
+                cached[...] = cur
     return _salience_vector(out, frames)
 
 

@@ -296,6 +296,19 @@ class TestFeatureSkipsRepeats:
         assert np.array_equal(s, convolve_every_frame(v, bank))
         assert s[[2, 3, 6, 8, 9, 10]].tolist() == [0.0] * 6
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    def test_clip_longer_than_two_chunks_of_change_masks(self, rng, dtype):
+        h, w, c, t_count = 20, 24, 3, 400
+        # a chunk holds as many transitions as their change masks, a bool per value, fit in the band buffer
+        assert t_count - 1 > 2 * motion._window_scratch(h, w, c)[1].nbytes // (h * w * c)
+        frames = np.repeat(random_volume(rng, 1, h=h, w=w, c=c, dtype=dtype).frames, t_count, axis=0)
+        for t in np.flatnonzero(rng.random(t_count) < 0.4):
+            y, x = rng.integers(0, h - 3), rng.integers(0, w - 3)
+            frames[t:, y : y + 3, x : x + 3] += 1
+        video, bank = FrameVolume(frames), random_bank(c, seed=5)
+        s = feature_diff_salience(video, bank).values
+        assert s.tobytes() == convolve_every_frame(video, bank).tobytes()
+
     def test_convolves_first_and_changed_frames_only(self, rng, conv_calls):
         v = repeat_runs(rng, np.uint8, 1)
         feature_diff_salience(v, random_bank(1))
@@ -386,6 +399,28 @@ class TestFeatureWindows:
         feature_diff_salience(FrameVolume(frames), random_bank(c))
         assert conv_calls == [(0, 20, 0, 24), (7, 14, 9, 16), (0, 5, 0, 5), (16, 20, 20, 24), (2, 9, 20, 24),
                               (0, 20, 0, 24)]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("hw", [(20, 24), (1, 1), (1, 24), (20, 1)])
+    def test_windows_of_changing_shape_share_one_scratch(self, rng, conv_calls, hw, c, dtype):
+        # windows grow, then shrink, so each one's buffers still hold what a
+        # window of another shape left there; 1-pixel-high or wide frames give
+        # 1x1, 1xW and Hx1 windows
+        h, w = hw
+        centre = (h // 2, h // 2 + 1, w // 2, w // 2 + 1)
+        boxes = [centre, (h // 4, h - h // 4, w // 4, w - w // 4), (0, h, 0, w), (0, 1, 0, w), (0, h, w - 1, w),
+                 (h - 1, h, 0, 1), (0, h, 0, w), centre]
+        frames = np.repeat(random_volume(rng, 1, h=h, w=w, c=c, dtype=dtype).frames, 1 + len(boxes), axis=0)
+        for t, (y0, y1, x0, x1) in enumerate(boxes, 1):
+            frames[t:, y0:y1, x0:x1] += 1  # a uint8 255 wraps to 0, still a change
+        video, bank = FrameVolume(frames), random_bank(c, seed=5)
+        s = feature_diff_salience(video, bank).values
+        assert s.tobytes() == convolve_every_frame(video, bank).tobytes()
+        areas = [(y1 - y0) * (x1 - x0) for y0, y1, x0, x1 in conv_calls[1:]]
+        assert len(areas) == len(boxes)
+        if h * w > 1:
+            assert areas[0] < areas[1] < areas[2] > areas[7]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_inside_a_later_window_names_its_frame(self, rng, bad):
