@@ -21,28 +21,26 @@ from .ingest import (
     VideoManifest,
     export_outputs,
     load_frame_directory,
+    load_kernel_bank,
     load_raw_tensor,
     natural_key,
+    save_kernel_bank,
     save_raw_tensor,
 )
-from .kernels import (
-    ConvKernelBank,
-    conv2d_apply,
-    identity_bank,
-    load_kernel_bank,
-    random_bank,
-    save_kernel_bank,
-    zero_bank,
-)
 from .motion import (
+    ConvKernelBank,
     FrameVolume,
     MotionDistribution,
     SalienceVector,
+    conv2d_apply,
     downsample_volume,
     feature_diff_salience,
+    identity_bank,
     image_diff_salience,
     normalize_salience,
+    random_bank,
     smooth_distribution,
+    zero_bank,
 )
 from .pipeline import sample_video
 from .sampling import (

@@ -18,9 +18,8 @@ from pathlib import Path
 
 from .errors import ConfigError, MotionSampleError
 from .evalbench import SyntheticSpec, compare_strategies, generate_synthetic_video
-from .ingest import export_outputs, list_videos, load_video, save_raw_tensor, write_atomic
-from .kernels import ConvKernelBank, load_kernel_bank
-from .motion import downsample_volume
+from .ingest import export_outputs, list_videos, load_kernel_bank, load_video, save_raw_tensor, write_atomic
+from .motion import ConvKernelBank, downsample_volume
 from .pipeline import REPRESENTATIONS, sample_video
 from .sampling import (
     STRATEGIES,
@@ -189,6 +188,8 @@ def _run_sample(args: argparse.Namespace) -> int:
         raise _UsageError("motionsample sample: error: --emit-curve is not available with --batch")
     if args.batch and not args.out:
         raise _UsageError("motionsample sample: error: --batch requires --out DIRECTORY")
+    if args.out and args.emit_curve and Path(args.out).resolve() == Path(args.emit_curve).resolve():
+        raise _UsageError("motionsample sample: error: --out and --emit-curve name the same file")
     root = Path(args.frames_dir or args.raw_tensor)
     # A single video is the batch of one at ordinal 0, whose seed is --seed itself.
     jobs = _batch_jobs(root, Path(args.out)) if args.batch else [(root, args.frames_dir is not None, args.out)]

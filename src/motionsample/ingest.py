@@ -1,14 +1,18 @@
-"""Codec-free frame loading and sampler output writing.
+"""Codec-free input formats and sampler output writing.
 
-Two input formats: a directory of binary PGM/PPM images (P5/P6, maxval 255,
-one file per frame, natural-sorted by filename), or a single "MGVT" raw
-tensor file.  Frame extraction from real containers is left to external
-tools; see the README for an ffmpeg recipe.  ``load_video`` and
-``list_videos`` hold every rule about which format a path is read as.
+Three input formats: a directory of binary PGM/PPM images (P5/P6, maxval 255,
+one file per frame, natural-sorted by filename), a single "MGVT" raw tensor
+file, and an "MGKB" kernel weight file for feature-level salience.  Frame
+extraction from real containers is left to external tools; see the README
+for an ffmpeg recipe.  ``load_video`` and ``list_videos`` hold every rule
+about which format a path is read as.
 
 MGVT layout (little-endian): 32-byte header = magic b"MGVT", uint32 version
 (1), uint32 T, H, W, C, uint32 dtype tag (0 = uint8, 1 = float32), 4 reserved
 zero bytes; then the T*H*W*C payload in C order.
+
+MGKB layout (little-endian): 16-byte header = magic b"MGKB", uint32 channel
+count, 8 reserved zero bytes; then 8*C*7*7 float32 weights.
 """
 
 from __future__ import annotations
@@ -23,12 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, StructuralError
-from .motion import FrameVolume
+from .motion import KERNEL_COUNT, KERNEL_SIZE, ConvKernelBank, FrameVolume
 from .sampling import CumulativeCurve, SamplePlan, curve_to_csv, plan_to_json
 
 RAW_TENSOR_MAGIC = b"MGVT"
 RAW_TENSOR_VERSION = 1
 _RAW_HEADER = struct.Struct("<4sIIIIII4x")  # magic, version, T, H, W, C, dtype
+_WEIGHT_MAGIC = b"MGKB"
+_WEIGHT_HEADER = struct.Struct("<4sI8x")  # magic, channels, reserved
 
 _DTYPE_TAGS = {0: np.dtype("u1"), 1: np.dtype("<f4")}
 _PNM_EXTENSIONS = (".pgm", ".ppm")
@@ -176,6 +182,31 @@ def save_raw_tensor(volume: FrameVolume, path) -> None:
     )
     payload = volume.frames.astype("<f4").tobytes() if tag else volume.frames.tobytes()
     write_atomic(path, header + payload)
+
+
+def save_kernel_bank(bank: ConvKernelBank, path) -> None:
+    """Write the bank as an MGKB weight file, atomically."""
+    data = _WEIGHT_HEADER.pack(_WEIGHT_MAGIC, bank.channels)
+    data += bank.kernels.astype("<f4").tobytes()
+    write_atomic(path, data)
+
+
+def load_kernel_bank(path) -> ConvKernelBank:
+    raw = Path(path).read_bytes()
+    if len(raw) < _WEIGHT_HEADER.size:
+        raise FormatError(f"{path}: weight file shorter than its 16-byte header")
+    magic, channels = _WEIGHT_HEADER.unpack_from(raw)
+    if magic != _WEIGHT_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {_WEIGHT_MAGIC!r}")
+    if channels not in (1, 3):
+        raise FormatError(f"{path}: kernel channel count must be 1 or 3, got {channels}")
+    expected = _WEIGHT_HEADER.size + KERNEL_COUNT * channels * KERNEL_SIZE * KERNEL_SIZE * 4
+    if len(raw) != expected:
+        raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
+    weights = np.frombuffer(raw, dtype="<f4", offset=_WEIGHT_HEADER.size)
+    return ConvKernelBank(
+        weights.reshape(KERNEL_COUNT, channels, KERNEL_SIZE, KERNEL_SIZE).copy()
+    )
 
 
 def write_atomic(path, data: str | bytes) -> None:

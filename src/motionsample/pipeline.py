@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from .errors import ConfigError
-from .kernels import ConvKernelBank, random_bank
 from .motion import (
+    ConvKernelBank,
     FrameVolume,
     MotionDistribution,
     feature_diff_salience,
     image_diff_salience,
     normalize_salience,
+    random_bank,
     smooth_distribution,
 )
 from .sampling import (

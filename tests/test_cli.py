@@ -152,6 +152,22 @@ class TestSampleErrors:
         assert "missing" in capsys.readouterr().err
         assert not plan.exists()
 
+    def test_curve_and_plan_on_one_path_is_usage_error(self, tmp_path, capsys):
+        mgvt = tmp_path / "v.mgvt"
+        assert main(["gen", "--t-count", "12", "--height", "8", "--width", "8", "--out", str(mgvt)]) == 0
+        capsys.readouterr()
+        (tmp_path / "sub").mkdir()
+        plan = tmp_path / "p.json"
+        assert main(["sample", "--raw-tensor", str(mgvt), "--out", str(plan),
+                     "--emit-curve", str(tmp_path / "sub" / ".." / "p.json")]) == 1
+        assert "--out and --emit-curve name the same file" in capsys.readouterr().err
+        assert not plan.exists()
+
+    def test_zero_downsample_is_usage_error(self, tmp_path, capsys):
+        d = make_frames_dir(tmp_path, "v")
+        assert main(["sample", "--frames-dir", str(d), "--downsample", "0"]) == 1
+        assert "--downsample must be >= 1" in capsys.readouterr().err
+
     def test_topk_with_too_few_frames_is_input_error(self, tmp_path, capsys):
         d = make_frames_dir(tmp_path, "v", t=3)
         assert main(["sample", "--frames-dir", str(d), "--strategy", "topk",

@@ -47,6 +47,16 @@ class TestSyntheticSpec:
         with pytest.raises(ConfigError):
             spec_with(bursts=((9, 3, 1.0),))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("t_count", 0, "must all be >= 1"),
+        ("height", 0, "must all be >= 1"),
+        ("channels", 2, "channels must be 1 or 3, got 2"),
+        ("noise", -0.5, "noise amplitude must be >= 0"),
+    ])
+    def test_bad_field_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            SyntheticSpec(**{"t_count": 10, field: value})
+
 
 class TestGenerator:
     def test_static_video_has_zero_salience(self):
@@ -120,6 +130,11 @@ class TestBurstCoverage:
     def test_plan_outside_spec_rejected(self):
         with pytest.raises(StructuralError):
             burst_coverage(self._plan([100]), spec_with(t=50))
+
+    def test_index_one_past_the_last_frame_rejected(self):
+        assert burst_coverage(self._plan([0, 49]), spec_with(t=50)) == 0.0
+        with pytest.raises(StructuralError, match="plan index 50 outside the spec's 50 frames"):
+            burst_coverage(self._plan([0, 50]), spec_with(t=50))
 
 
 class TestCompareStrategies:

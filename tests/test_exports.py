@@ -1,4 +1,5 @@
-"""The public names: every export in ``motionsample.__all__`` resolves, and the benchmark uses only exports."""
+"""The public names: every export in ``motionsample.__all__`` resolves, the benchmark uses only exports,
+and no package module imports another's private names."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import motionsample
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(motionsample.__file__).resolve().parent
 
 
 def test_every_export_resolves():
@@ -41,3 +43,14 @@ def test_benchmark_reads_only_exports():
     names = perfbench_names()
     assert "sample_video" in names and "load_kernel_bank" in names  # the scan sees both import forms
     assert {name: where for name, where in names.items() if name not in motionsample.__all__} == {}
+
+
+def test_no_module_imports_a_private_name_from_another():
+    """A rule two modules must both know lives behind one module's public names."""
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("motionsample")):
+                private += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert private == []

@@ -416,8 +416,9 @@ class TestFeatureWindows:
             frames[t:, y0:y1, x0:x1] += 1  # a uint8 255 wraps to 0, still a change
         video, bank = FrameVolume(frames), random_bank(c, seed=5)
         s = feature_diff_salience(video, bank).values
+        windows = conv_calls[1:]  # the oracle's whole-frame calls are counted too
         assert s.tobytes() == convolve_every_frame(video, bank).tobytes()
-        areas = [(y1 - y0) * (x1 - x0) for y0, y1, x0, x1 in conv_calls[1:]]
+        areas = [(y1 - y0) * (x1 - x0) for y0, y1, x0, x1 in windows]
         assert len(areas) == len(boxes)
         if h * w > 1:
             assert areas[0] < areas[1] < areas[2] > areas[7]
@@ -442,6 +443,11 @@ class TestSalienceVector:
     def test_rejects_negative_entries(self):
         with pytest.raises(StructuralError):
             SalienceVector(np.array([0.0, -2.0]))
+
+    @pytest.mark.parametrize("values", [[], [[0.0, 1.0]]])
+    def test_rejects_empty_or_not_1d(self, values):
+        with pytest.raises(StructuralError, match="non-empty 1-d"):
+            SalienceVector(np.array(values))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_error_names_first_offending_frame(self, bad):
@@ -486,6 +492,24 @@ class TestMotionDistributionOwnsProbs:
         m = MotionDistribution([0.5, 0.5])
         with pytest.raises(ValueError):
             m.probs[0] = 1.0
+
+
+class TestMotionDistributionRejects:
+    @pytest.mark.parametrize("probs, message", [
+        ([], "non-empty 1-d"),
+        ([[0.5, 0.5]], "non-empty 1-d"),
+        ([1.5, -0.5], "finite and >= 0"),
+        ([np.nan, 1.0], "finite and >= 0"),
+        ([np.inf, 0.0], "finite and >= 0"),
+        ([0.5, 0.5 + 2e-9], "sum to 1 within 1e-9"),
+        ([0.5, 0.5 - 2e-9], "sum to 1 within 1e-9"),
+    ])
+    def test_rejects_invalid_probs(self, probs, message):
+        with pytest.raises(StructuralError, match=message):
+            MotionDistribution(np.array(probs))
+
+    def test_sum_within_tolerance_is_accepted(self):
+        assert MotionDistribution(np.array([0.5, 0.5 + 5e-10])).t_count == 2
 
 
 class TestNormalizeSalience:

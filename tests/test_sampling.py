@@ -76,6 +76,18 @@ class TestBuildCurve:
         with pytest.raises(StructuralError):
             CumulativeCurve(np.array([0.0, 0.6, 0.5, 1.0]))  # decreasing
 
+    @pytest.mark.parametrize("values, message", [
+        ([1.0], "at least anchors"),
+        ([], "at least anchors"),
+        ([[0.0, 1.0]], "at least anchors"),
+        ([0.0, np.nan, 1.0], "finite"),
+        ([0.0, np.inf, 1.0], "finite"),
+        ([0.0, 0.5, -np.inf], "finite"),
+    ])
+    def test_curve_rejects_short_or_non_finite(self, values, message):
+        with pytest.raises(StructuralError, match=message):
+            CumulativeCurve(np.array(values))
+
 
 class TestInvertCurve:
     def test_hand_interpolation(self):
@@ -213,6 +225,12 @@ class TestSegmentSample:
             for i, idx in enumerate(plan.indices):
                 assert i * t / n - 1 < idx < (i + 1) * t / n
                 assert 0 <= idx <= t - 1
+
+
+@pytest.mark.parametrize("strategy, sampler", [("segment", segment_sample), ("stride", stride_sample)])
+def test_zero_frames_rejected(strategy, sampler):
+    with pytest.raises(StructuralError, match="t_count must be >= 1, got 0"):
+        sampler(0, cfg_for(strategy, 4, deterministic=True))
 
 
 class TestStrideSample:
@@ -601,3 +619,9 @@ class TestCurvePerDistribution:
         assert curve.values.tolist() == build_curve(m).values.tolist()
         if strategy == "mg":
             assert drawn_from == [curve] and drawn_from[0] is curve
+
+
+def test_sample_video_rejects_unknown_representation(rng):
+    volume = FrameVolume(rng.integers(0, 256, (6, 4, 4, 1), dtype=np.uint8))
+    with pytest.raises(ConfigError, match="unknown representation 'flow'"):
+        sample_video(volume, cfg_for("mg", 2), "flow")
