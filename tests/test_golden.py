@@ -194,6 +194,13 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
         argv = ["sample", "--frames-dir", "ROOT/odd-headers", "--strategy", s, *VARIANTS["default"],
                 "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
         cases[f"sample-odd-headers-{s}"] = (argv, ["plan.json", "curve.csv"])
+    # The widest and narrowest draws: N = 32 with the largest seed, and N = 1.
+    for variant, extra in {"n32-maxseed": ["--num-frames", "32", "--seed", str(2**64 - 1)],
+                           "n1": ["--num-frames", "1"]}.items():
+        for s in STRATEGIES:
+            argv = ["sample", "--raw-tensor", "ROOT/u8.mgvt", "--strategy", s, *extra,
+                    "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
+            cases[f"sample-u8-{variant}-{s}"] = (argv, ["plan.json", "curve.csv"])
     for name in CHUNKED:
         for variant in ("default", "deterministic", "mu2-ds2"):
             for s in STRATEGIES:
