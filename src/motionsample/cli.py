@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError, MotionSampleError
 from .evalbench import SyntheticSpec, compare_strategies, generate_synthetic_video
-from .ingest import export_outputs, list_videos, load_kernel_bank, load_video, save_raw_tensor, write_atomic
+from .ingest import export_outputs, list_videos, load_kernel_bank, load_video, save_raw_tensor, video_reads, write_atomic
 from .motion import ConvKernelBank, downsample_volume
 from .pipeline import REPRESENTATIONS, sample_video
 from .sampling import (
@@ -191,6 +191,9 @@ def _run_sample(args: argparse.Namespace) -> int:
     if args.out and args.emit_curve and Path(args.out).resolve() == Path(args.emit_curve).resolve():
         raise _UsageError("motionsample sample: error: --out and --emit-curve name the same file")
     root = Path(args.frames_dir or args.raw_tensor)
+    for flag, target in (("--out", args.out), ("--emit-curve", args.emit_curve)):
+        if target and not args.batch and video_reads(root, args.frames_dir is not None, target):
+            raise _UsageError(f"motionsample sample: error: {flag} {target} names a file of the input video {root}")
     # A single video is the batch of one at ordinal 0, whose seed is --seed itself.
     jobs = _batch_jobs(root, Path(args.out)) if args.batch else [(root, args.frames_dir is not None, args.out)]
     bank = load_kernel_bank(args.weights) if args.weights else None

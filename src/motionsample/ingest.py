@@ -157,6 +157,14 @@ def load_video(path, frames_dir: bool) -> tuple[FrameVolume, VideoManifest]:
     return volume, _manifest(volume, path, "raw-tensor", ())
 
 
+def video_reads(path, frames_dir: bool, target) -> bool:
+    """Whether ``load_video(path, frames_dir)`` reads ``target``, or would once a file is written there."""
+    source, target = Path(path).resolve(), Path(target).resolve()
+    if frames_dir:
+        return target.parent == source and target.suffix.lower() in _PNM_EXTENSIONS
+    return target == source
+
+
 def list_videos(root) -> list[tuple[Path, bool]]:
     """(video, is frame directory) for every subdirectory and ``*.mgvt`` file under ``root``, in natural order."""
     root = Path(root)

@@ -13,7 +13,6 @@ All indices in sample plans are zero-based.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import numbers
 import operator
@@ -168,17 +167,18 @@ def distribution_curve(m: MotionDistribution) -> CumulativeCurve:
     return curve
 
 
-def _invert(f: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """invert_curve over curve anchors ``f`` and an array of y values in [0, 1]: zero-based indices, int64."""
-    k = np.searchsorted(f, ys, side="left")  # 0 only for y = 0, since F_0 = 0
+def _invert(f: np.ndarray, ys) -> np.ndarray:
+    """invert_curve over curve anchors ``f`` and a sequence of y values in [0, 1]: zero-based indices, int64."""
+    ys = np.asarray(ys, dtype=np.float64)
+    k = f.searchsorted(ys, side="left")  # 0 only for y = 0, since F_0 = 0
     if not k.all():
-        k[k == 0] = np.searchsorted(f, 0.0, side="right")  # y = 0: the first rising anchor
-    lo = f[k - 1]
-    x = (k - 1) + (ys - lo) / (f[k] - lo)
-    r = np.floor(x + 0.5)
+        k[k == 0] = f.searchsorted(0.0, side="right")  # y = 0: the first rising anchor
+    k1 = k - 1
+    lo = f.take(k1)
+    x = k1 + (ys - lo) / (f.take(k) - lo)
+    r = (x + 0.5).astype(np.int64)  # F_{k-1} <= y <= F_k: x in [k-1, k], so this floors and stays <= T
     np.maximum(r, 1, out=r)
-    np.minimum(r, f.size - 1, out=r)
-    return r.astype(np.int64) - 1
+    return r - 1
 
 
 def invert_curve(curve: CumulativeCurve, y: float) -> int:
@@ -190,7 +190,7 @@ def invert_curve(curve: CumulativeCurve, y: float) -> int:
     """
     if not (0.0 <= y <= 1.0):
         raise ConfigError(f"y must lie in [0, 1], got {y!r}")
-    return int(_invert(curve.values, np.array([y], dtype=np.float64))[0])
+    return int(_invert(curve.values, [y])[0])
 
 
 def _resolve_rng(cfg: SamplerConfig) -> np.random.Generator | None:
@@ -202,48 +202,33 @@ def _require_strategy(cfg: SamplerConfig, expected: str) -> None:
         raise ConfigError(f"config strategy is {cfg.strategy!r}, operation needs {expected!r}")
 
 
-def _interval_draws(n: int, rng: np.random.Generator | None) -> np.ndarray:
+def _interval_draws(n: int, rng: np.random.Generator | None) -> list[float]:
     """One y per interval (i/N, (i+1)/N), endpoints excluded; midpoints when rng is None.
 
-    ``rng.random(n)`` feeds ``lo + (hi - lo) * d``, the stream and the
-    expression of numpy's scalar ``uniform(lo, hi)``, so the draws equal N
-    scalar ``uniform`` calls.  A y on an endpoint (about N * 2**-53 per plan)
-    is redrawn from there on by the scalar rule, which keeps the stream too.
+    ``lo + (hi - lo) * d`` is the expression of numpy's scalar
+    ``uniform(lo, hi)``, and the doubles come from one ``rng.random(n)``
+    block, then one ``rng.random()`` per redraw, so the draws and the stream
+    equal N scalar ``uniform`` calls.  A y on an endpoint (about N * 2**-53
+    per plan) is redrawn in place, by the same loop.
     """
     if rng is None:
-        return (2 * np.arange(n) + 1) / (2 * n)
-    edges = np.arange(n + 1) / n
-    lo, hi = edges[:-1], edges[1:]
-    d = rng.random(n)
-    y = lo + (hi - lo) * d
-    inside = (lo < y) & (y < hi)
-    if not inside.all():
-        _redraw_from(int(np.argmin(inside)), y, lo, hi, d, rng)  # argmin: first False
-    return y
-
-
-def _redraw_from(first: int, y: np.ndarray, lo: np.ndarray, hi: np.ndarray, d: np.ndarray,
-                 rng: np.random.Generator) -> None:
-    """Redo intervals ``first``.. of y one scalar draw at a time, redrawing endpoint hits.
-
-    The doubles ``d`` already holds past ``first`` come first, in stream
-    order, and only then further doubles from ``rng``, so both the y values
-    and the number of doubles consumed match a loop of scalar draws.
-    """
-    doubles = itertools.chain(d[first:].tolist(), iter(rng.random, None))
-    for i in range(first, y.size):
-        a, b = float(lo[i]), float(hi[i])
-        v = a + (b - a) * next(doubles)
-        while not (a < v < b):
-            v = a + (b - a) * next(doubles)
-        y[i] = v
+        return [(2 * i + 1) / (2 * n) for i in range(n)]
+    doubles = itertools.chain(rng.random(n).tolist(), iter(rng.random, None))
+    ys = []
+    for i, d in zip(range(n), doubles):  # range first: zip stops without taking a double
+        lo, hi = i / n, (i + 1) / n
+        y = lo + (hi - lo) * d
+        while not lo < y < hi:
+            y = lo + (hi - lo) * next(doubles)
+        ys.append(y)
+    return ys
 
 
 def mg_sample(curve: CumulativeCurve, cfg: SamplerConfig) -> SamplePlan:
     """Motion-guided sampling: invert one draw per even y-interval."""
     _require_strategy(cfg, "mg")
     ys = _interval_draws(cfg.n_frames, _resolve_rng(cfg))
-    return SamplePlan(_invert(curve.values, ys).tolist(), cfg, draws=ys.tolist())
+    return SamplePlan(_invert(curve.values, ys).tolist(), cfg, draws=ys)
 
 
 def segment_sample(t_count: int, cfg: SamplerConfig) -> SamplePlan:
@@ -253,13 +238,12 @@ def segment_sample(t_count: int, cfg: SamplerConfig) -> SamplePlan:
         raise StructuralError(f"t_count must be >= 1, got {t_count}")
     rng = _resolve_rng(cfg)
     n = cfg.n_frames
-    edges = np.arange(n + 1) * t_count / n
-    lo, hi = edges[:-1], edges[1:]
+    edges = [i * t_count / n for i in range(n + 1)]
     if rng is None:
-        pos = lo + t_count / (2 * n)
-    else:
-        pos = lo + (hi - lo) * rng.random(n)  # uniform(lo, hi) per segment
-    return SamplePlan(np.minimum(np.floor(pos), t_count - 1).astype(np.int64).tolist(), cfg)
+        pos = [lo + t_count / (2 * n) for lo in edges[:-1]]
+    else:  # uniform(lo, hi) per segment
+        pos = [lo + (hi - lo) * d for lo, hi, d in zip(edges, edges[1:], rng.random(n).tolist())]
+    return SamplePlan([min(math.floor(p), t_count - 1) for p in pos], cfg)
 
 
 def stride_sample(t_count: int, cfg: SamplerConfig) -> SamplePlan:
@@ -316,7 +300,7 @@ def windowed_clip_sample(m: MotionDistribution, cfg: SamplerConfig) -> SamplePla
     f = _anchors(sub / total if total > 0.0 else np.full(sub.size, 1.0 / sub.size))
     ys = _interval_draws(cfg.n_frames, rng)
     indices = _invert(f, ys) + start
-    return SamplePlan(indices.tolist(), cfg, draws=ys.tolist(), window_start=start)
+    return SamplePlan(indices.tolist(), cfg, draws=ys, window_start=start)
 
 
 def sample_from_distribution(m: MotionDistribution, cfg: SamplerConfig) -> SamplePlan:
@@ -341,16 +325,12 @@ def _format_float(v: float) -> str:
 
 
 def plan_to_json(plan: SamplePlan) -> str:
-    """Byte-stable JSON: {strategy, seed, mu, n_frames, indices[], draws[]}."""
-    obj = {
-        "strategy": plan.config.strategy,
-        "seed": plan.config.seed,
-        "mu": plan.config.mu,
-        "n_frames": plan.config.n_frames,
-        "indices": list(plan.indices),
-        "draws": list(plan.draws) if plan.draws is not None else [],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Byte-stable JSON, written directly: ``json.dumps``'s text with sorted keys, no spaces, floats by repr."""
+    cfg = plan.config
+    draws = ",".join(map(repr, plan.draws or ()))
+    indices = ",".join(map(repr, plan.indices))
+    return (f'{{"draws":[{draws}],"indices":[{indices}],"mu":{cfg.mu!r},'
+            f'"n_frames":{cfg.n_frames},"seed":{cfg.seed},"strategy":"{cfg.strategy}"}}\n')
 
 
 def curve_to_csv(curve: CumulativeCurve) -> str:

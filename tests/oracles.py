@@ -88,8 +88,11 @@ def shannon_entropy(probs) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
-# Scalar references for the sampler's draw path: one Python-level draw and one
+# Scalar references for the sampler's draw path: one generator call and one
 # searchsorted per pick, as the package drew before its draws were vectorized.
+# The package now takes all N doubles in one block, walks them in one float
+# loop that also redraws endpoint hits, and inverts them in one searchsorted;
+# these references keep the pick-by-pick calls it must match.
 
 
 def scalar_interval_draws(n: int, rng) -> list:

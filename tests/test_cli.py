@@ -163,6 +163,29 @@ class TestSampleErrors:
         assert "--out and --emit-curve name the same file" in capsys.readouterr().err
         assert not plan.exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--emit-curve"])
+    def test_output_over_the_input_tensor_is_usage_error(self, tmp_path, capsys, flag):
+        mgvt = tmp_path / "v.mgvt"
+        assert main(["gen", "--t-count", "12", "--height", "8", "--width", "8", "--out", str(mgvt)]) == 0
+        capsys.readouterr()
+        before = mgvt.read_bytes()
+        (tmp_path / "sub").mkdir()
+        for target in (mgvt, tmp_path / "sub" / ".." / "v.mgvt"):
+            assert main(["sample", "--raw-tensor", str(mgvt), flag, str(target)]) == 1
+            assert f"{flag} {target} names a file of the input video" in capsys.readouterr().err
+        assert mgvt.read_bytes() == before
+
+    @pytest.mark.parametrize("flag", ["--out", "--emit-curve"])
+    def test_output_onto_a_frame_of_the_input_dir_is_usage_error(self, tmp_path, capsys, flag):
+        d = make_frames_dir(tmp_path, "v")
+        before = sorted((p.name, p.read_bytes()) for p in d.iterdir())
+        for name in ("frame1.pgm", "new.PPM"):  # an existing frame, and one the next load would read
+            assert main(["sample", "--frames-dir", str(d), flag, str(d / name)]) == 1
+            assert "names a file of the input video" in capsys.readouterr().err
+        assert sorted((p.name, p.read_bytes()) for p in d.iterdir()) == before
+        # a file the frame loader skips may live beside the frames
+        assert main(["sample", "--frames-dir", str(d), flag, str(d / "plan.json")]) == 0
+
     def test_zero_downsample_is_usage_error(self, tmp_path, capsys):
         d = make_frames_dir(tmp_path, "v")
         assert main(["sample", "--frames-dir", str(d), "--downsample", "0"]) == 1

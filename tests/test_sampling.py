@@ -134,6 +134,39 @@ class TestInvertCurve:
             y = float(rng.uniform(0, 1))
             assert invert_curve(c, y) == brute_force_invert(c.values, y)
 
+    @pytest.mark.parametrize("weights", [
+        (1.0,),                                     # T = 1
+        (0.0, 2.0, 0.0, 0.0, 2.0, 0.0),             # plateaus inside and at both ends
+        (0.0, 0.0, 1.0, 3.0),                       # a leading plateau at F = 0
+        (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0),   # one long plateau at F = 0.5
+        (1e-300, 1.0, 1e-300, 1e-300, 1.0, 1e-300),  # masses F cannot hold beside 0.5
+        (1e-300, 1.0),                              # a first segment of slope 1e-300
+        (0.0, 1e-300, 0.0, 1.0, 0.0),               # a plateau at F = 1e-300
+        (3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0),
+    ])
+    def test_anchors_and_their_neighbours_match_brute_force(self, weights):
+        """y = 0, y = 1, every anchor and the next double on either side of each.
+
+        At y = 0 on a curve with F_1 = 0 the two differ by definition: the
+        oracle takes the leftmost x with F(x) >= 0, which is 0, while
+        invert_curve takes the start of the first rising segment.
+        """
+        w = np.array(weights)
+        c = build_curve(MotionDistribution(w / w.sum()))
+        f = c.values.tolist()
+        t = len(f) - 1
+        ys = {0.0, 1.0}
+        for v in f:
+            ys |= {v, math.nextafter(v, 0.0), math.nextafter(v, 1.0)}
+        for y in sorted(y for y in ys if 0.0 <= y <= 1.0):
+            got = invert_curve(c, y)
+            assert 0 <= got <= t - 1
+            if y == 0.0 and f[1] == 0.0:
+                first_rising = next(k for k, v in enumerate(f) if v > 0.0)
+                assert got == max(first_rising - 1, 1) - 1
+            else:
+                assert got == brute_force_invert(c.values, y), y
+
 
 class TestMgSample:
     def test_uniform_t8_n8_deterministic(self):
@@ -494,6 +527,20 @@ class TestSerialization:
     def test_non_mg_plan_has_empty_draws(self):
         plan = segment_sample(8, cfg_for("segment", 2, deterministic=True))
         assert json.loads(plan_to_json(plan))["draws"] == []
+
+    def test_plan_json_is_json_dumps_text(self, rng):
+        """plan_to_json writes its text directly; it must stay json.dumps's, key order and float text included."""
+        odd = [5e-324, 1e-300, 1e-7, 0.1, 1 / 3, 0.5, 2.0, 123456789.0, 1e16, 1e300]
+        for mu in (0.0, 5e-324, 1e-300, 0.1, 2.0, 1e300):
+            for seed in (0, 2**64 - 1):
+                for n in range(1, 101):
+                    strategy = STRATEGIES[n % len(STRATEGIES)]
+                    cfg = cfg_for(strategy, n, mu=mu, seed=seed)
+                    indices = np.sort(rng.integers(0, 5000, n)).tolist()
+                    draws = [odd[i % len(odd)] if i % 3 else float(rng.random()) for i in range(n)]
+                    for plan_draws in (None, draws):
+                        plan = SamplePlan(indices, cfg, draws=plan_draws)
+                        assert plan_to_json(plan) == reference_json(cfg, indices, plan_draws)
 
     def test_curve_csv_golden(self):
         csv_text = curve_to_csv(build_curve(uniform_dist(4)))
