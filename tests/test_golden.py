@@ -11,7 +11,9 @@ uint8 clips whose frames change only in small blocks on a static textured
 background (the feature convolution's changed windows: each border and
 corner, one pixel, two opposite corners at once, and a 32x32x3 frame whose
 whole-frame dgemm has 1280 columns, 1222 rounded up to whole 64-column
-blocks).  Each
+blocks), and four float32 clips of awkward shapes for the float32 image
+salience (T = 2, 1x1x1 frames, one channel, and frames of signed zeros,
+subnormals and 1e30 beside 1e-30).  Each
 case runs ``motionsample.cli.main`` in-process and records the sha256 of its
 exit code, stdout, stderr and every file it wrote; the corpus root is
 replaced by ``ROOT`` in stdout and stderr first.  The digests live in
@@ -63,6 +65,10 @@ VARIANTS = {
 CHUNKED = {"chunks": (40, 96, 96, 3), "wide": (11, 300, 300, 3)}
 # uint8 clips that change in small blocks only: name -> (H, W, C)
 WINDOWED = {"blocks1": (20, 24, 1), "blocks3": (18, 22, 3), "blocks32": (32, 32, 3)}
+# float32 clips of awkward shapes: name -> (T, H, W, C)
+F32_ODD = {"f32-t2": (2, 9, 7, 3), "f32-1x1": (12, 1, 1, 1), "f32-c1": (15, 13, 7, 1), "f32-extremes": (9, 6, 5, 3)}
+# values where float64 differences of float32 pixels are exact, round or vanish
+_EXTREMES = np.array([0.0, -0.0, 1e30, -1e30, 1e-30, -1e-30, 1e-45, -1e-45, 1.5, 3e38], dtype=np.float32)
 
 
 def _write_ppm_dir(d: Path, frames: np.ndarray) -> None:
@@ -171,6 +177,12 @@ def build_corpus(root: Path) -> None:
         save_raw_tensor(FrameVolume(_moving_u8(rng, *shape)), root / f"{name}.mgvt")
     for name, shape in WINDOWED.items():
         save_raw_tensor(FrameVolume(_blocks_u8(rng, *shape)), root / f"{name}.mgvt")
+    for name, shape in F32_ODD.items():
+        if name == "f32-extremes":
+            frames = rng.choice(_EXTREMES, size=shape)
+        else:
+            frames = rng.uniform(0, 255, size=shape).astype(np.float32)
+        save_raw_tensor(FrameVolume(frames), root / f"{name}.mgvt")
 
 
 def _cases() -> dict[str, tuple[list[str], list[str]]]:
@@ -212,6 +224,11 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
             argv = ["sample", "--raw-tensor", f"ROOT/{name}.mgvt", "--strategy", s, *VARIANTS["feature"],
                     "--weights", f"ROOT/bank{c}.mgkb", "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
             cases[f"sample-{name}-feature-{s}"] = (argv, ["plan.json", "curve.csv"])
+    for name, (t, _, _, _) in F32_ODD.items():
+        for s in STRATEGIES:
+            argv = ["sample", "--raw-tensor", f"ROOT/{name}.mgvt", "--strategy", s, "--seed", "7",
+                    "--num-frames", str(min(t, 4)), "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
+            cases[f"sample-{name}-{s}"] = (argv, ["plan.json", "curve.csv"])
     batch_plans = [f"clip{i}.plan.json" for i in (2, 3, 4, 10)]
     for variant, extra in VARIANTS.items():
         weights = ["--weights", "ROOT/bank3.mgkb"] if variant == "feature" else []
