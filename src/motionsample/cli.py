@@ -11,8 +11,8 @@ byte-reproducible given --seed (or --deterministic) and identical inputs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -178,6 +178,12 @@ def _batch_jobs(root: Path, out_dir: Path) -> list[tuple[Path, bool, Path]]:
     return list(jobs.values())
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else the CPU count."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
 def _run_sample(args: argparse.Namespace) -> int:
     if args.weights and args.representation == "image":
         raise _UsageError("motionsample sample: error: --weights needs --representation feature")
@@ -205,8 +211,14 @@ def _run_sample(args: argparse.Namespace) -> int:
 
     if args.batch:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-        errors = list(pool.map(work, enumerate(jobs)))
+    workers = min(8, _usable_cpus(), len(jobs))
+    if workers == 1:  # every single-video run: no pool, no threads
+        errors = [work(item) for item in enumerate(jobs)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            errors = list(pool.map(work, enumerate(jobs)))
     if args.batch:
         for (_, _, out_path), error in zip(jobs, errors):
             if error is None:

@@ -150,9 +150,10 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
 
     Channels count as extra spatial extent: for C=3 the absolute differences
     of all three channels are summed.  uint8 scores are exact integers,
-    whatever the chunking; float32 frames are differenced and summed in
-    float64.  Scratch memory does not grow with T.  README, *Reproducibility
-    notes*, states the chunking and accumulator rules.
+    whatever the chunking; float32 frames are widened once into reused
+    float64 buffers and differenced and summed there.  Scratch memory does
+    not grow with T.  README, *Reproducibility notes*, states the chunking,
+    accumulator and float32 rules.
     """
     frames = video.frames
     t_count = video.t_count
@@ -171,14 +172,18 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
             np.subtract(hk, lk, out=hk)
             out[s:e] = hk.sum(axis=1, dtype=acc)
     else:
-        prev = frames[0].astype(np.float64)
+        n = frames[0].size
+        step = -(-n // 8) * 8  # whole 64-byte lines per frame, so all three buffers start on one
+        block = _aligned_empty(3 * step)
+        prev, cur, diff = (block[i * step : i * step + n].reshape(frames.shape[1:]) for i in range(3))
+        np.copyto(prev, frames[0])
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the error below names the frame
             for t in range(1, t_count):
-                cur = frames[t].astype(np.float64)
-                diff = cur - prev
+                np.copyto(cur, frames[t])
+                np.subtract(cur, prev, out=diff)
                 np.abs(diff, out=diff)
                 out[t] = diff.sum(dtype=np.float64)
-                prev = cur
+                prev, cur = cur, prev
     return _salience_vector(out, frames)
 
 

@@ -40,7 +40,10 @@ def video_seed(seed: int, ordinal: int) -> int:
 
 @dataclass(frozen=True)
 class CumulativeCurve:
-    """Anchors (k, F_k) for k in 0..T; F_0 = 0, F_T = 1, non-decreasing."""
+    """Anchors (k, F_k) for k in 0..T; F_0 = 0, F_T = 1, non-decreasing.
+
+    An F_T within 1e-9 of 1 is accepted and stored as exactly 1.
+    """
 
     values: np.ndarray
 
@@ -56,7 +59,10 @@ class CumulativeCurve:
             raise StructuralError(f"F_T must be 1 within 1e-9, got {f[-1]!r}")
         if np.any(np.diff(f) < 0):
             raise StructuralError("curve must be non-decreasing")
-        f = f.copy()
+        # an own copy, clamped and pinned as _anchors does: every y in [0, 1]
+        # then has an anchor at or above it, and the anchors never decrease
+        f = np.minimum(f, 1.0)
+        f[-1] = 1.0
         f.flags.writeable = False
         object.__setattr__(self, "values", f)
 

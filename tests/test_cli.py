@@ -1,11 +1,13 @@
 import errno
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from motionsample import FrameVolume, load_raw_tensor, random_bank, save_kernel_bank, save_raw_tensor, video_seed
+from motionsample import cli
 from motionsample.cli import main
 from conftest import write_pgm
 
@@ -317,6 +319,73 @@ class TestBatchMode:
         assert errors[0].startswith(f"error: {root / 'clip2.mgvt'}: ") and "payload bytes" in errors[0]
         assert errors[1].startswith(f"error: {root / 'clip4' / 'frame2.pgm'}: not a binary PGM/PPM")
         assert errors[2] == f"error: {huge}: malformed PGM/PPM header"
+
+
+class TestBatchPool:
+    """The batch pool is sized to the CPUs the process may use; one worker runs in the calling thread."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        started, start = [], threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        return started
+
+    @staticmethod
+    def _allow_cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    @staticmethod
+    def _corpus(tmp_path):
+        root = tmp_path / "videos"
+        root.mkdir()
+        make_frames_dir(root, "clip1", t=6, seed=1)
+        make_frames_dir(root, "clip2", t=9, seed=2)
+        f32 = np.random.default_rng(3).uniform(0, 255, (8, 8, 8, 1)).astype(np.float32)
+        save_raw_tensor(FrameVolume(f32), root / "clip3.mgvt")
+        (make_frames_dir(root, "clip4", t=3, seed=4) / "frame2.pgm").write_bytes(b"P9 junk")
+        make_frames_dir(root, "clip5", t=12, seed=5)
+        return root
+
+    def test_same_plans_and_lines_for_any_cpu_count(self, tmp_path, capsys, monkeypatch, started):
+        root = self._corpus(tmp_path)
+        runs, threads = {}, {}
+        for cpus in (1, 2, 8):
+            self._allow_cpus(monkeypatch, cpus)
+            out, before = tmp_path / f"plans{cpus}", len(started)
+            code = main(["sample", "--frames-dir", str(root), "--batch", "--seed", "3", "--out", str(out)])
+            captured = capsys.readouterr()
+            plans = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs[cpus] = (code, captured.out.replace(str(out), "OUT"), captured.err, plans)
+            threads[cpus] = len(started) - before
+        assert runs[1] == runs[2] == runs[8]
+        assert runs[1][0] == 2 and len(runs[1][3]) == 4
+        assert threads[1] == 0 and 1 <= threads[2] <= 2 and 1 <= threads[8] <= 5  # 5 videos
+
+    def test_one_cpu_starts_no_thread(self, tmp_path, capsys, monkeypatch, started):
+        self._allow_cpus(monkeypatch, 1)
+        root = tmp_path / "videos"
+        root.mkdir()
+        make_frames_dir(root, "a", seed=1)
+        make_frames_dir(root, "b", seed=2)
+        assert main(["sample", "--frames-dir", str(root), "--batch", "--out", str(tmp_path / "o")]) == 0
+        assert started == []
+
+    def test_single_video_runs_in_the_calling_thread(self, tmp_path, capsys, monkeypatch, started):
+        self._allow_cpus(monkeypatch, 8)
+        assert main(["sample", "--frames-dir", str(make_frames_dir(tmp_path, "v")), "--seed", "7"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 7
+        assert started == []
+
+    @pytest.mark.parametrize("count, usable", [(None, 1), (4, 4)])
+    def test_cpu_count_where_the_os_has_no_affinity_mask(self, monkeypatch, count, usable):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cli._usable_cpus() == usable
 
 
 class TestEvalCommand:

@@ -262,6 +262,24 @@ def test_uint8_image_salience_scratch_does_not_grow_with_t(rng):
     assert long < 2 * 128 * 1024 + 2 * frame_bytes  # two difference buffers at the chunk cap
 
 
+def test_float32_image_salience_scratch_does_not_grow_with_t(rng):
+    h, w, c = 56, 56, 3
+    frame64 = 8 * h * w * c
+
+    def peak_of(t: int) -> int:
+        video = FrameVolume(rng.uniform(0, 255, size=(t, h, w, c)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            image_diff_salience(video)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak_of(20), peak_of(400)
+    assert long - short <= 8 * (400 - 20) + 8 * 1024  # the float64 score vector, plus slack
+    assert long < 4 * frame64  # three float64 frame buffers, plus slack
+
+
 # Printed by a child process under another OpenBLAS kernel and by this one.
 _UINT8_SALIENCE = """
 import numpy as np

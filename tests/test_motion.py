@@ -206,6 +206,35 @@ class TestUint8Chunks:
             self._assert_bitwise_equal_to_oracle(rng, t, 4, 5, c)
 
 
+# float32 pixels whose float64 differences are exact, round (1e30 beside 1e-30),
+# cancel to a signed zero, or start from a float32 subnormal
+_F32_EXTREMES = np.array([0.0, -0.0, 1e30, -1e30, 1e-30, -1e-30, 1e-45, -1e-45, 1.5, 3e38], dtype=np.float32)
+
+
+class TestFloat32ImageSalience:
+    """float32 frames are widened once into reused float64 buffers; scores equal the oracle's bits."""
+
+    @pytest.mark.parametrize("t", [1, 2, 7])
+    @pytest.mark.parametrize("h, w", [(1, 1), (13, 7)])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_bitwise_equal_to_loop_oracle(self, rng, t, h, w, c):
+        for frames in (rng.uniform(-255, 255, size=(t, h, w, c)).astype(np.float32),
+                       rng.choice(_F32_EXTREMES, size=(t, h, w, c))):
+            s = image_diff_salience(FrameVolume(frames)).values
+            assert s.tobytes() == loop_image_salience(frames).tobytes()
+
+    def test_frames_larger_than_a_pairwise_block(self, rng):
+        frames = rng.uniform(0, 255, size=(3, 112, 112, 3)).astype(np.float32)
+        s = image_diff_salience(FrameVolume(frames)).values
+        assert s.tobytes() == loop_image_salience(frames).tobytes()
+
+    def test_hand_example_rounding_and_signed_zeros(self):
+        frames = np.array([[1e-30, 1e30, 0.0], [1e30, 1e-30, -0.0]], dtype=np.float32).reshape(2, 1, 3, 1)
+        big = float(np.float32(1e30))
+        assert big - float(np.float32(1e-30)) == big  # the float64 difference rounds
+        assert image_diff_salience(FrameVolume(frames)).values.tolist() == [0.0, 2 * big]
+
+
 class TestNonFiniteWithoutWarnings:
     """numpy's RuntimeWarning for inf - inf must not leak ahead of the StructuralError."""
 

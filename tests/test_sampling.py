@@ -76,6 +76,20 @@ class TestBuildCurve:
         with pytest.raises(StructuralError):
             CumulativeCurve(np.array([0.0, 0.6, 0.5, 1.0]))  # decreasing
 
+    @pytest.mark.parametrize("end", [1 - 5e-10, 1 + 5e-10])
+    def test_hand_built_end_within_tolerance_is_pinned_to_one(self, end):
+        c = CumulativeCurve(np.array([0.0, 0.5, end]))
+        assert c.values.tolist() == [0.0, 0.5, 1.0]
+        assert invert_curve(c, 1.0) == 1
+        for seed in range(50):
+            plan = mg_sample(c, SamplerConfig(n_frames=8, seed=seed))
+            assert 0 <= min(plan.indices) and max(plan.indices) <= 1
+
+    def test_anchors_just_above_one_stay_non_decreasing(self):
+        c = CumulativeCurve(np.array([0.0, 1 + 2e-10, 1 + 5e-10]))
+        assert c.values.tolist() == [0.0, 1.0, 1.0]
+        assert invert_curve(c, 1.0) == 0
+
     @pytest.mark.parametrize("values, message", [
         ([1.0], "at least anchors"),
         ([], "at least anchors"),
