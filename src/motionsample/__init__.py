@@ -7,6 +7,8 @@ Includes segment/stride/top-magnitude baselines, codec-free frame ingestion,
 a synthetic evaluation harness, and a CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import ConfigError, FormatError, MotionSampleError, StructuralError
 from .evalbench import (
     CoverageReport,
@@ -64,54 +66,5 @@ from .sampling import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError",
-    "ConvKernelBank",
-    "CoverageReport",
-    "CumulativeCurve",
-    "FormatError",
-    "FrameVolume",
-    "MotionDistribution",
-    "MotionSampleError",
-    "STRATEGIES",
-    "SalienceVector",
-    "SamplePlan",
-    "SamplerConfig",
-    "StructuralError",
-    "SyntheticSpec",
-    "VideoManifest",
-    "block_area",
-    "build_curve",
-    "burst_coverage",
-    "compare_strategies",
-    "conv2d_apply",
-    "curve_to_csv",
-    "downsample_volume",
-    "export_outputs",
-    "feature_diff_salience",
-    "generate_synthetic_video",
-    "identity_bank",
-    "image_diff_salience",
-    "invert_curve",
-    "load_frame_directory",
-    "load_kernel_bank",
-    "load_raw_tensor",
-    "make_rng",
-    "mg_sample",
-    "natural_key",
-    "normalize_salience",
-    "plan_to_json",
-    "random_bank",
-    "salience_mass_in_bursts",
-    "sample_from_distribution",
-    "sample_video",
-    "save_kernel_bank",
-    "save_raw_tensor",
-    "segment_sample",
-    "smooth_distribution",
-    "stride_sample",
-    "topk_sample",
-    "video_seed",
-    "windowed_clip_sample",
-    "zero_bank",
-]
+# A name is public exactly when this module imports it; the submodules the imports bind are not.
+__all__ = sorted(n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType)))

@@ -168,9 +168,9 @@ def _sample_one(args: argparse.Namespace, cfg: SamplerConfig, bank: ConvKernelBa
 
 
 def _batch_jobs(root: Path, out_dir: Path) -> list[tuple[Path, bool, Path]]:
-    """(video, is frames dir, plan path) for every video under root in natural order; plan paths must differ."""
+    """(video, is frames dir, plan path) per video under root but out_dir, in natural order; plan paths must differ."""
     jobs: dict[Path, tuple[Path, bool, Path]] = {}
-    for path, frames_dir in list_videos(root):
+    for path, frames_dir in list_videos(root, skip=out_dir):
         out_path = out_dir / f"{path.name if frames_dir else path.stem}.plan.json"
         if out_path in jobs:
             raise MotionSampleError(f"{jobs[out_path][0]} and {path} would both write {out_path}")

@@ -165,12 +165,14 @@ def video_reads(path, frames_dir: bool, target) -> bool:
     return target == source
 
 
-def list_videos(root) -> list[tuple[Path, bool]]:
-    """(video, is frame directory) for every subdirectory and ``*.mgvt`` file under ``root``, in natural order."""
+def list_videos(root, skip=None) -> list[tuple[Path, bool]]:
+    """(video, is frame dir) for every subdirectory and ``*.mgvt`` file in ``root`` but ``skip``, in natural order."""
     root = Path(root)
     if not root.is_dir():
         raise StructuralError(f"{root}: not a directory")
-    videos = [(p, is_dir) for p in root.iterdir() if (is_dir := p.is_dir()) or p.suffix.lower() == ".mgvt"]
+    skip = None if skip is None else Path(skip).resolve()
+    videos = [(p, is_dir) for p in root.iterdir()
+              if ((is_dir := p.is_dir()) or p.suffix.lower() == ".mgvt") and (skip is None or p.resolve() != skip)]
     if not videos:
         raise StructuralError(f"{root}: no videos found")
     return sorted(videos, key=lambda v: _name_order(v[0].name))

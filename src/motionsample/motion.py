@@ -256,7 +256,7 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
             f"kernel bank expects {bank.channels} channel(s), frame has {frame.shape[2]}"
         )
     h, w, c = frame.shape
-    return np.ascontiguousarray(_conv2d_window(frame, bank, 0, h, 0, w, _window_scratch(h, w, c)))
+    return np.ascontiguousarray(_crop_window(_conv2d_window(frame, bank, 0, h, 0, w, _window_scratch(h, w, c)), h, w))
 
 
 def _aligned_empty(size: int) -> np.ndarray:
@@ -266,16 +266,26 @@ def _aligned_empty(size: int) -> np.ndarray:
     return buf[start : start + size]
 
 
+def _band_length(h: int, wp: int) -> int:
+    """Columns of each band of an h-row window with rows Wp wide: h*Wp + 6, rounded up to whole column blocks."""
+    return -(-(h * wp + KERNEL_SIZE - 1) // _COLUMN_BLOCK) * _COLUMN_BLOCK
+
+
+def _crop_window(block: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The (8, h, w) window of an (8, n) output block of ``_conv2d_window``, whose rows are Wp = w + 6 columns apart."""
+    wp = w + 2 * KERNEL_PADDING
+    return block[:, : h * wp].reshape(KERNEL_COUNT, h, wp)[:, :, :w]
+
+
 def _window_scratch(h: int, w: int, c: int) -> tuple[np.ndarray, ...]:
     """Flat buffers for ``_conv2d_window`` on (H, W, C) frames: padded input, bands, band product, output.
 
     They are sized for the whole frame, so one set serves every window of a
     clip.  Each call refills the bands and the band product, so they are free
-    between calls; the output buffer holds the last window's output as the
-    (8, n) block from offset 0 that the returned view crops.
+    between calls; the output buffer holds the last window's output block.
     """
     wp = w + 2 * KERNEL_PADDING
-    n = -(-(h * wp + KERNEL_SIZE - 1) // _COLUMN_BLOCK) * _COLUMN_BLOCK
+    n = _band_length(h, wp)
     return (_aligned_empty(c * (KERNEL_SIZE * wp + n)), _aligned_empty(c * KERNEL_SIZE * n),
             _aligned_empty(KERNEL_SIZE * KERNEL_COUNT * n), _aligned_empty(KERNEL_COUNT * n))
 
@@ -283,9 +293,9 @@ def _window_scratch(h: int, w: int, c: int) -> tuple[np.ndarray, ...]:
 def _conv2d_window(
     frame: np.ndarray, bank: ConvKernelBank, y0: int, y1: int, x0: int, x1: int, scratch: tuple[np.ndarray, ...]
 ) -> np.ndarray:
-    """Output rows y0:y1 and columns x0:x1 of ``conv2d_apply(frame, bank)``; (8, y1-y0, x1-x0).
+    """Output rows y0:y1 and columns x0:x1 of ``conv2d_apply(frame, bank)``, as the (8, n) block ``_crop_window`` crops.
 
-    The result is a view into ``scratch`` (from ``_window_scratch`` for the
+    The block is a view into ``scratch`` (from ``_window_scratch`` for the
     frame's shape), valid until the next call that uses the same buffers.
     Accumulation runs in float64, as one band product over shifted bands.
     The window's input, rows y0-3:y1+3 and columns x0-3:x1+3, is read from
@@ -298,15 +308,14 @@ def _conv2d_window(
     matrix, rows (dx, k) and columns (c, dy), times the (7*C, n) bands give
     Y (7, 8, n) in one dgemm.  Output (k, y, x) is Y[0, k, y*Wp + x] + ... +
     Y[6, k, y*Wp + x + 6], added in that order, each add once over a dx slab
-    read flat; the columns past h*Wp, which mix in the next filter's row,
-    and the 6 pad columns of each row are cropped.  Each value has the whole
-    frame's bits (README, *Reproducibility notes*).
+    read flat; the crop drops the columns past h*Wp, which mix in the next
+    filter's row, and the 6 pad columns of each row.  Each value has the
+    whole frame's bits (README, *Reproducibility notes*).
     """
     h, w, c = frame.shape
     pad, size = KERNEL_PADDING, KERNEL_SIZE
     wp = x1 - x0 + 2 * pad
-    span = (y1 - y0) * wp
-    n = -(-(span + size - 1) // _COLUMN_BLOCK) * _COLUMN_BLOCK  # band length, rounded up
+    n = _band_length(y1 - y0, wp)
     rows = size - 1 + -(-n // wp)
     flat_padded, flat_bands, flat_partial, flat_out = scratch
     padded = flat_padded[: c * rows * wp].reshape(c, rows, wp)
@@ -325,8 +334,7 @@ def _conv2d_window(
     np.add(partial[0, : out.size], partial[1, 1 : 1 + out.size], out=out)
     for dx in range(2, size):
         out += partial[dx, dx : dx + out.size]
-    out = flat_out[: KERNEL_COUNT * n].reshape(KERNEL_COUNT, n)[:, :span]
-    return out.reshape(KERNEL_COUNT, y1 - y0, wp)[:, :, : x1 - x0]
+    return flat_out[: KERNEL_COUNT * n].reshape(KERNEL_COUNT, n)
 
 
 def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceVector:
@@ -363,14 +371,14 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     r = KERNEL_PADDING
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the errors below name the frame
         scratch = _window_scratch(h, w, c)  # one set of convolution buffers for every window
-        masks, spent, conv = scratch[1].view(np.bool_), scratch[2], scratch[3]  # the first two free between windows
-        feats = _conv2d_window(frames[0], bank, 0, h, 0, w, scratch).copy()  # updated in place, window by window
+        _, masks, spent, _ = scratch  # free between windows: the change masks (as bools) and each window's difference
+        feats = _crop_window(_conv2d_window(frames[0], bank, 0, h, 0, w, scratch), h, w).copy()  # updated in place
         if t_count > 1 and not np.isfinite(feats).all():
             raise StructuralError("salience entry 1 (frame 0) must be finite and >= 0")
-        k = max(1, min(t_count - 1, masks.size // flat[0].size))
+        k = max(1, min(t_count - 1, masks.nbytes // flat[0].size))
         for s in range(1, t_count, k):
             e = min(s + k, t_count)
-            changed = masks[: (e - s) * flat[0].size].reshape(e - s, h, w * c)
+            changed = masks.view(np.bool_)[: (e - s) * flat[0].size].reshape(e - s, h, w * c)
             np.not_equal(flat[s:e], flat[s - 1 : e - 1], out=changed)
             for t, row_mask, col_mask in zip(range(s, e), changed.any(axis=2), changed.any(axis=1)):
                 rows = np.flatnonzero(row_mask)
@@ -379,17 +387,17 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
                 cols = np.flatnonzero(col_mask)
                 y0, y1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, h)
                 x0, x1 = max(cols[0] // c - r, 0), min(cols[-1] // c + r + 1, w)
-                cur = _conv2d_window(frames[t], bank, y0, y1, x0, x1, scratch)
+                block = _conv2d_window(frames[t], bank, y0, y1, x0, x1, scratch)
+                diff = spent[: block.size].reshape(block.shape)
+                window = _crop_window(diff, y1 - y0, x1 - x0)  # where the window's features sit in the block
                 cached = feats[:, y0:y1, x0:x1]
-                diff = spent[: KERNEL_COUNT * cur.strides[0] // cur.itemsize]  # conv's (8, n) block
-                window = np.ndarray(cur.shape, buffer=spent, strides=cur.strides)  # where cur sits in it
                 np.copyto(window, cached)
-                np.subtract(diff, conv[: diff.size], out=diff)  # -(cur - cached), exactly: the same squares
+                np.subtract(diff, block, out=diff)  # -(cur - cached), exactly: the same squares
                 np.square(diff, out=diff)
                 np.sqrt(window.sum(axis=0), out=norms[y0:y1, x0:x1])  # the cropped view keeps the sum order
                 out[t] = norms.sum()
                 norms[y0:y1, x0:x1] = 0.0
-                cached[...] = cur
+                cached[...] = _crop_window(block, y1 - y0, x1 - x0)
     return _salience_vector(out, frames)
 
 
@@ -400,11 +408,15 @@ def normalize_salience(s: SalienceVector) -> MotionDistribution:
     normalization; it falls back to the uniform distribution and sets
     ``degenerate_uniform``.
     """
-    total = float(s.values.sum())
+    return _l1_normalize(s.values)
+
+
+def _l1_normalize(v: np.ndarray, degenerate_uniform: bool = False) -> MotionDistribution:
+    """``v / v.sum()``, or the uniform distribution, marked ``degenerate_uniform``, when the sum is not positive."""
+    total = float(v.sum())
     if total > 0.0:
-        return MotionDistribution(s.values / total)
-    t = s.t_count
-    return MotionDistribution(np.full(t, 1.0 / t), degenerate_uniform=True)
+        return MotionDistribution(v / total, degenerate_uniform=degenerate_uniform)
+    return MotionDistribution(np.full(v.size, 1.0 / v.size), degenerate_uniform=True)
 
 
 def smooth_distribution(m: MotionDistribution, mu: float) -> MotionDistribution:
@@ -419,14 +431,8 @@ def smooth_distribution(m: MotionDistribution, mu: float) -> MotionDistribution:
         raise ConfigError(f"smoothing exponent must be >= 0, got {mu!r}")
     if mu == 1.0:
         return m
-    powered = np.power(m.probs, mu)
-    total = float(powered.sum())
-    if total <= 0.0:
-        # Unreachable for exact arithmetic on a valid distribution, but tiny
-        # probabilities can underflow for large mu.
-        t = m.t_count
-        return MotionDistribution(np.full(t, 1.0 / t), degenerate_uniform=True)
-    return MotionDistribution(powered / total, degenerate_uniform=m.degenerate_uniform)
+    # no uniform fallback in exact arithmetic, but tiny probabilities can underflow for large mu
+    return _l1_normalize(np.power(m.probs, mu), m.degenerate_uniform)
 
 
 def downsample_volume(video: FrameVolume, factor: int) -> FrameVolume:

@@ -48,7 +48,7 @@ class CumulativeCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.values, dtype=np.float64)
+        f = np.array(self.values, dtype=np.float64)  # own copy, pinned and frozen below
         if f.ndim != 1 or f.size < 2:
             raise StructuralError("curve needs at least anchors (0, F_0) and (1, F_1)")
         if not np.all(np.isfinite(f)):
@@ -59,12 +59,7 @@ class CumulativeCurve:
             raise StructuralError(f"F_T must be 1 within 1e-9, got {f[-1]!r}")
         if np.any(np.diff(f) < 0):
             raise StructuralError("curve must be non-decreasing")
-        # an own copy, clamped and pinned as _anchors does: every y in [0, 1]
-        # then has an anchor at or above it, and the anchors never decrease
-        f = np.minimum(f, 1.0)
-        f[-1] = 1.0
-        f.flags.writeable = False
-        object.__setattr__(self, "values", f)
+        object.__setattr__(self, "values", _pin_end(f))
 
 
 @dataclass(frozen=True)
@@ -142,6 +137,14 @@ class SamplePlan:
             object.__setattr__(self, "draws", tuple(map(float, self.draws)))
 
 
+def _pin_end(f: np.ndarray) -> np.ndarray:
+    """Clamp anchors to 1, pin F_T to 1 and freeze them in place: every y in [0, 1] gets an anchor at or above it."""
+    np.minimum(f, 1.0, out=f)
+    f[-1] = 1.0
+    f.flags.writeable = False
+    return f
+
+
 def _anchors(probs: np.ndarray) -> np.ndarray:
     """Prefix-sum probabilities into curve anchors, pinning F_T to exactly 1."""
     f = np.empty(probs.size + 1, dtype=np.float64)
@@ -149,9 +152,7 @@ def _anchors(probs: np.ndarray) -> np.ndarray:
     np.cumsum(probs, out=f[1:])
     if abs(f[-1] - 1.0) > CURVE_END_TOL:
         raise StructuralError(f"distribution sums to {f[-1]!r}, cannot build curve")
-    f[-1] = 1.0
-    np.minimum(f, 1.0, out=f)  # keep rounding noise from poking above 1
-    return f
+    return _pin_end(f)
 
 
 def build_curve(m: MotionDistribution) -> CumulativeCurve:

@@ -271,6 +271,34 @@ class TestBatchMode:
             assert main(["sample", flag, str(root / name), "--seed", str(video_seed(6, i)), *flags]) == 0
             assert plan.read_text() == capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--raw-tensor", "--frames-dir"])
+    def test_rerun_with_out_under_the_root_skips_its_own_plans(self, tmp_path, capsys, flag):
+        root = tmp_path / "videos"
+        root.mkdir()
+        if flag == "--raw-tensor":
+            rng = np.random.default_rng(2)
+            for name in ("a", "b"):
+                save_raw_tensor(FrameVolume(rng.integers(0, 256, (6, 8, 8, 1), dtype=np.uint8)), root / f"{name}.mgvt")
+        else:
+            make_frames_dir(root, "a", seed=1)
+            make_frames_dir(root, "b", seed=2)
+        out = root / "plans"
+        argv = ["sample", flag, str(root), "--batch", "--num-frames", "3", "--out", str(out)]
+        assert main(argv) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(first) == ["a.plan.json", "b.plan.json"]
+        capsys.readouterr()
+        # the same directory named another way is still the run's own output
+        assert main([*argv[:-1], str(tmp_path / "videos" / ".." / "videos" / "plans")]) == 0
+        assert capsys.readouterr().err == ""
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+    def test_root_holding_only_the_out_dir_has_no_videos(self, tmp_path, capsys):
+        root = tmp_path / "videos"
+        (root / "plans").mkdir(parents=True)
+        assert main(["sample", "--frames-dir", str(root), "--batch", "--out", str(root / "plans")]) == 2
+        assert capsys.readouterr().err == f"error: {root}: no videos found\n"
+
     def test_non_decimal_digits_in_names(self, tmp_path, capsys):
         root = tmp_path / "videos"
         root.mkdir()

@@ -410,6 +410,31 @@ class TestWindowedClipSample:
         assert zero_windows > 0
 
 
+def y_mass_edges(f):
+    """Edge j of frame j's y-mass [G(j + 0.5), G(j + 1.5)], G interpolating anchors ``f``; 0 and 1 at the ends."""
+    return np.concatenate([[0.0], (f[1:-1] + f[2:]) / 2, [1.0]])
+
+
+def test_mg_is_motion_uniform_over_every_frame_range():
+    # The paper's "motion uniform" property: each of the N draws lies in its own
+    # 1/N interval of y, so the picks in any frame range [a, b] differ from N times
+    # the range's y-mass by at most 2.  Every range at once: prefix counts minus
+    # N times the edges, whose spread bounds each range's deviation.
+    rng = np.random.default_rng(2104)
+    worst = 0.0
+    for _ in range(3000):
+        t, n = int(rng.integers(1, 200)), int(rng.integers(1, 40))
+        p = rng.random(t) * (rng.random(t) >= 0.4)  # about 40% zero-mass frames
+        if not p.any():
+            p[rng.integers(t)] = 1.0
+        curve = build_curve(MotionDistribution(p / p.sum()))
+        cfg = cfg_for("mg", n, seed=int(rng.integers(2**63)), deterministic=bool(rng.random() < 0.5))
+        picks = np.concatenate([[0], np.cumsum(np.bincount(mg_sample(curve, cfg).indices, minlength=t))])
+        deviation = picks - n * y_mass_edges(curve.values)
+        worst = max(worst, deviation.max() - deviation.min())
+    assert worst <= 2, worst
+
+
 class TestMgSegmentRelationship:
     def test_deviation_at_most_one_index_everywhere(self):
         # Exhaustive uniform-distribution sweep; the two conventions may
