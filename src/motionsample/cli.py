@@ -44,23 +44,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_sampler_flags(p: argparse.ArgumentParser, one_strategy: bool) -> None:
-    """Sampler flags; ``--strategy`` and ``--window`` only where a run draws with one strategy."""
+    """Sampler flags, defaulting to ``SamplerConfig``'s; ``--strategy`` and ``--window`` only where a run draws with one strategy."""
     if one_strategy:
-        p.add_argument("--strategy", choices=STRATEGIES, default="mg")
-    p.add_argument("--num-frames", type=int, default=8, metavar="N")
-    p.add_argument("--mu", type=float, default=0.5)
-    p.add_argument("--stride", type=int, default=4, metavar="K")
+        p.add_argument("--strategy", choices=STRATEGIES, default=SamplerConfig.strategy)
+    p.add_argument("--num-frames", type=int, default=SamplerConfig.n_frames, metavar="N")
+    p.add_argument("--mu", type=float, default=SamplerConfig.mu)
+    p.add_argument("--stride", type=int, default=SamplerConfig.stride, metavar="K")
     if one_strategy:
-        p.add_argument("--window", type=int, default=32, metavar="L")
-    p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--window", type=int, default=SamplerConfig.window_len, metavar="L")
+    p.add_argument("--seed", type=int, default=SamplerConfig.seed)
     p.add_argument("--deterministic", action="store_true")
 
 
-def _add_synth_flags(p: argparse.ArgumentParser, t_default: int) -> None:
-    p.add_argument("--t-count", type=int, default=t_default, metavar="T")
-    p.add_argument("--height", type=int, default=32)
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--channels", type=int, default=1, choices=(1, 3))
+def _add_synth_flags(p: argparse.ArgumentParser) -> None:
+    """Synthetic-video flags, defaulting to ``SyntheticSpec``'s; it has no default frame count."""
+    p.add_argument("--t-count", type=int, default=100, metavar="T")
+    p.add_argument("--height", type=int, default=SyntheticSpec.height)
+    p.add_argument("--width", type=int, default=SyntheticSpec.width)
+    p.add_argument("--channels", type=int, default=SyntheticSpec.channels, choices=(1, 3))
     p.add_argument(
         "--burst",
         action="append",
@@ -68,9 +69,9 @@ def _add_synth_flags(p: argparse.ArgumentParser, t_default: int) -> None:
         metavar="S:E:AMP",
         help="planted burst, zero-based inclusive frames S..E with amplitude AMP (repeatable)",
     )
-    p.add_argument("--background", type=float, default=128.0)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--gen-seed", type=int, default=0)
+    p.add_argument("--background", type=float, default=SyntheticSpec.background)
+    p.add_argument("--noise", type=float, default=SyntheticSpec.noise)
+    p.add_argument("--gen-seed", type=int, default=SyntheticSpec.seed)
 
 
 def _build_parser() -> _Parser:
@@ -90,13 +91,13 @@ def _build_parser() -> _Parser:
     sample.add_argument("--emit-curve", metavar="FILE", help="also write the curve CSV")
 
     ev = sub.add_parser("eval", help="compare strategies on a synthetic burst video")
-    _add_synth_flags(ev, t_default=100)
+    _add_synth_flags(ev)
     ev.add_argument("--representation", choices=REPRESENTATIONS, default="image")
     _add_sampler_flags(ev, one_strategy=False)
     ev.add_argument("--out", metavar="FILE", help="report JSON path (default: stdout)")
 
     gen = sub.add_parser("gen", help="write a synthetic video as an MGVT raw tensor")
-    _add_synth_flags(gen, t_default=100)
+    _add_synth_flags(gen)
     gen.add_argument("--out", metavar="FILE", required=True)
     return parser
 

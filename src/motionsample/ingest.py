@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, StructuralError
+from .errors import ConfigError, FormatError, StructuralError
 from .motion import KERNEL_COUNT, KERNEL_SIZE, ConvKernelBank, FrameVolume
 from .sampling import CumulativeCurve, SamplePlan, curve_to_csv, plan_to_json
 
@@ -214,9 +214,10 @@ def load_kernel_bank(path) -> ConvKernelBank:
     if len(raw) != expected:
         raise FormatError(f"{path}: expected {expected} bytes, got {len(raw)}")
     weights = np.frombuffer(raw, dtype="<f4", offset=_WEIGHT_HEADER.size)
-    return ConvKernelBank(
-        weights.reshape(KERNEL_COUNT, channels, KERNEL_SIZE, KERNEL_SIZE).copy()
-    )
+    try:
+        return ConvKernelBank(weights.reshape(KERNEL_COUNT, channels, KERNEL_SIZE, KERNEL_SIZE).copy())
+    except ConfigError as e:
+        raise FormatError(f"{path}: {e}") from e
 
 
 def write_atomic(path, data: str | bytes) -> None:

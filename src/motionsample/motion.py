@@ -105,18 +105,15 @@ class SalienceVector:
 class MotionDistribution:
     """l1-normalized per-frame motion probabilities.
 
-    The instance owns a read-only copy of ``probs``; an array the constructor
-    did not create is copied.  ``degenerate_uniform`` marks that the
-    all-zero-salience fallback produced a uniform distribution.
+    The instance owns a read-only copy of ``probs``.  ``degenerate_uniform``
+    marks that the all-zero-salience fallback produced a uniform distribution.
     """
 
     probs: np.ndarray
     degenerate_uniform: bool = False
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p is self.probs:  # the caller's array: copy, so later writes to it cannot reach us
-            p = p.copy()
+        p = np.array(self.probs, dtype=np.float64)  # own copy, frozen below
         if p.ndim != 1 or p.size < 1:
             raise StructuralError("distribution must be a non-empty 1-d vector")
         if np.any(p < 0) or not np.all(np.isfinite(p)):
@@ -189,7 +186,7 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
 
 @dataclass(frozen=True)
 class ConvKernelBank:
-    """Weights shaped (8, C, 7, 7); stride 1, zero-padding 3, no bias."""
+    """Finite weights shaped (8, C, 7, 7); stride 1, zero-padding 3, no bias."""
 
     kernels: np.ndarray
 
@@ -201,6 +198,9 @@ class ConvKernelBank:
             )
         if k.shape[1] not in (1, 3):
             raise ConfigError(f"kernel channel count must be 1 or 3, got {k.shape[1]}")
+        bad = np.flatnonzero(~np.isfinite(k))
+        if bad.size:
+            raise ConfigError(f"kernel weights must be finite, got {k.flat[bad[0]]} in filter {bad[0] // k[0].size}")
         object.__setattr__(self, "kernels", _frozen_array(np.ascontiguousarray(k)))
 
     @property
@@ -387,17 +387,15 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
                 cols = np.flatnonzero(col_mask)
                 y0, y1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, h)
                 x0, x1 = max(cols[0] // c - r, 0), min(cols[-1] // c + r + 1, w)
-                block = _conv2d_window(frames[t], bank, y0, y1, x0, x1, scratch)
-                diff = spent[: block.size].reshape(block.shape)
-                window = _crop_window(diff, y1 - y0, x1 - x0)  # where the window's features sit in the block
+                new = _crop_window(_conv2d_window(frames[t], bank, y0, y1, x0, x1, scratch), y1 - y0, x1 - x0)
                 cached = feats[:, y0:y1, x0:x1]
-                np.copyto(window, cached)
-                np.subtract(diff, block, out=diff)  # -(cur - cached), exactly: the same squares
+                diff = spent[: new.size].reshape(new.shape)  # contiguous, as conv2d_apply's (8, H, W)
+                np.subtract(cached, new, out=diff)  # -(cur - cached), exactly: the same squares
                 np.square(diff, out=diff)
-                np.sqrt(window.sum(axis=0), out=norms[y0:y1, x0:x1])  # the cropped view keeps the sum order
+                np.sqrt(diff.sum(axis=0), out=norms[y0:y1, x0:x1])
                 out[t] = norms.sum()
                 norms[y0:y1, x0:x1] = 0.0
-                cached[...] = _crop_window(block, y1 - y0, x1 - x0)
+                cached[...] = new
     return _salience_vector(out, frames)
 
 

@@ -57,7 +57,7 @@ class CumulativeCurve:
             raise StructuralError(f"F_0 must be 0, got {f[0]!r}")
         if abs(f[-1] - 1.0) > CURVE_END_TOL:
             raise StructuralError(f"F_T must be 1 within 1e-9, got {f[-1]!r}")
-        if np.any(np.diff(f) < 0):
+        if (f[1:] < f[:-1]).any():
             raise StructuralError("curve must be non-decreasing")
         object.__setattr__(self, "values", _pin_end(f))
 
@@ -156,8 +156,8 @@ def _anchors(probs: np.ndarray) -> np.ndarray:
 
 
 def build_curve(m: MotionDistribution) -> CumulativeCurve:
-    """Prefix-sum the distribution into curve anchors, pinning F_T to exactly 1."""
-    return CumulativeCurve(_anchors(m.probs))
+    """Prefix-sum the distribution into curve anchors; ``CumulativeCurve`` checks them and pins F_T to exactly 1."""
+    return CumulativeCurve(np.concatenate(([0.0], np.cumsum(m.probs))))
 
 
 def distribution_curve(m: MotionDistribution) -> CumulativeCurve:

@@ -1,12 +1,14 @@
 import errno
 import json
 import os
+import struct
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from motionsample import FrameVolume, load_raw_tensor, random_bank, save_kernel_bank, save_raw_tensor, video_seed
+from motionsample import FrameVolume, SamplerConfig, SyntheticSpec, load_raw_tensor, random_bank, save_kernel_bank, save_raw_tensor, video_seed
 from motionsample import cli
 from motionsample.cli import main
 from conftest import write_pgm
@@ -75,6 +77,23 @@ class TestSampleCommand:
         assert main(["sample", "--frames-dir", str(d), "--representation", "feature",
                      "--weights", str(weights), "--num-frames", "4", "--seed", "1"]) == 0
         assert len(json.loads(capsys.readouterr().out)["indices"]) == 4
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_non_finite_weights_blame_the_weights_file(self, tmp_path, capsys, batch):
+        mgvt = tmp_path / "videos" / "v.mgvt"
+        mgvt.parent.mkdir()
+        save_raw_tensor(FrameVolume(np.arange(3 * 8 * 8, dtype=np.float32).reshape(3, 8, 8, 1)), mgvt)
+        weights = tmp_path / "nan.mgkb"
+        save_kernel_bank(random_bank(1, seed=3), weights)
+        raw = bytearray(weights.read_bytes())
+        raw[16 + 4 * 2 * 49 : 16 + 4 * 2 * 49 + 4] = struct.pack("<f", float("nan"))  # filter 2
+        weights.write_bytes(bytes(raw))
+        argv = ["sample", "--raw-tensor", str(mgvt.parent if batch else mgvt), "--representation", "feature",
+                "--weights", str(weights)]
+        assert main(argv + (["--batch", "--out", str(tmp_path / "plans")] if batch else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {weights}: kernel weights must be finite, got nan in filter 2\n"
 
     def test_downsample_flag(self, tmp_path, capsys):
         d = make_frames_dir(tmp_path, "v", h=16, w=16)
@@ -414,6 +433,25 @@ class TestBatchPool:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         assert cli._usable_cpus() == usable
+
+
+def test_flag_defaults_are_the_dataclass_defaults():
+    parser = cli._build_parser()
+    config = {f.name: f.default for f in fields(SamplerConfig)}
+    spec = {f.name: f.default for f in fields(SyntheticSpec)}
+    sampler_flags = {"num_frames": "n_frames", "mu": "mu", "stride": "stride", "seed": "seed",
+                     "deterministic": "deterministic"}
+    synth_flags = {"height": "height", "width": "width", "channels": "channels", "background": "background",
+                   "noise": "noise", "gen_seed": "seed"}
+    sample = vars(parser.parse_args(["sample", "--raw-tensor", "v.mgvt"]))
+    assert sample["strategy"] == config["strategy"] and sample["window"] == config["window_len"]
+    for argv in (["sample", "--raw-tensor", "v.mgvt"], ["eval"]):
+        args = vars(parser.parse_args(argv))
+        assert {flag: args[flag] for flag in sampler_flags} == {flag: config[f] for flag, f in sampler_flags.items()}
+    for argv in (["eval"], ["gen", "--out", "v.mgvt"]):
+        args = vars(parser.parse_args(argv))
+        assert {flag: args[flag] for flag in synth_flags} == {flag: spec[f] for flag, f in synth_flags.items()}
+        assert args["t_count"] == 100
 
 
 class TestEvalCommand:

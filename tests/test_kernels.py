@@ -49,6 +49,14 @@ class TestBankConstruction:
         with pytest.raises(ConfigError):
             ConvKernelBank(np.zeros((8, 2, 7, 7), dtype=np.float32))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights_naming_the_filter(self, bad):
+        k = np.zeros((8, 3, 7, 7))
+        k[2, 1, 4, 5] = bad
+        k[5, 0, 0, 0] = np.nan  # only the first is named
+        with pytest.raises(ConfigError, match=r"^kernel weights must be finite, got -?(nan|inf) in filter 2$"):
+            ConvKernelBank(k)
+
     def test_random_bank_is_seed_deterministic(self):
         a = random_bank(1, seed=7)
         b = random_bank(1, seed=7)
@@ -393,6 +401,15 @@ class TestWeightFile:
         save_kernel_bank(identity_bank(1), path)
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(FormatError, match="expected"):
+            load_kernel_bank(path)
+
+    def test_non_finite_weight_is_a_format_error_naming_file_and_filter(self, tmp_path):
+        path = tmp_path / "nan.mgkb"
+        save_kernel_bank(identity_bank(1), path)
+        raw = bytearray(path.read_bytes())
+        raw[16 + 4 * 7 * 49 : 16 + 4 * 7 * 49 + 4] = struct.pack("<f", np.inf)  # filter 7, first weight
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: kernel weights must be finite, got inf in filter 7$"):
             load_kernel_bank(path)
 
     @pytest.mark.parametrize("channels", [0, 2, 4])

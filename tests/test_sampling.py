@@ -435,6 +435,30 @@ def test_mg_is_motion_uniform_over_every_frame_range():
     assert worst <= 2, worst
 
 
+def test_mg_clip_is_motion_uniform_inside_its_window():
+    # The same bound in window coordinates, over the curve of the window's own
+    # distribution; a window with no mass draws from the uniform distribution.
+    rng = np.random.default_rng(2105)
+    worst, zero_windows = 0.0, 0
+    for _ in range(3000):
+        t, n, length = int(rng.integers(1, 200)), int(rng.integers(1, 40)), int(rng.integers(1, 240))
+        p = rng.random(t) * (rng.random(t) >= 0.4)  # about 40% zero-mass frames
+        if not p.any():
+            p[rng.integers(t)] = 1.0
+        m = MotionDistribution(p / p.sum())
+        cfg = cfg_for("mg-clip", n, window_len=length, seed=int(rng.integers(2**63)),
+                      deterministic=bool(rng.random() < 0.5))
+        plan = windowed_clip_sample(m, cfg)
+        sub = m.probs[plan.window_start : plan.window_start + length]
+        zero_windows += not sub.any()
+        curve = build_curve(MotionDistribution(sub / sub.sum()) if sub.any() else uniform_dist(sub.size))
+        picks = np.bincount(np.array(plan.indices) - plan.window_start, minlength=sub.size)
+        deviation = np.concatenate([[0], np.cumsum(picks)]) - n * y_mass_edges(curve.values)
+        worst = max(worst, deviation.max() - deviation.min())
+    assert zero_windows > 0
+    assert worst <= 2, worst
+
+
 class TestMgSegmentRelationship:
     def test_deviation_at_most_one_index_everywhere(self):
         # Exhaustive uniform-distribution sweep; the two conventions may
