@@ -13,7 +13,10 @@ corner, one pixel, two opposite corners at once, and a 32x32x3 frame whose
 whole-frame dgemm has 1280 columns, 1222 rounded up to whole 64-column
 blocks), and four float32 clips of awkward shapes for the float32 image
 salience (T = 2, 1x1x1 frames, one channel, and frames of signed zeros,
-subnormals and 1e30 beside 1e-30).  Each
+subnormals and 1e30 beside 1e-30), and two kernel banks that miss the
+uint8 exactness bound of README's *Reproducibility notes* (``random_bank(3,
+seed=5)`` and a one-channel bank holding one weight of 1e-30), run over the
+uint8 clips of the feature convolution.  Each
 case runs ``motionsample.cli.main`` in-process and records the sha256 of its
 exit code, stdout, stderr and every file it wrote; the corpus root is
 replaced by ``ROOT`` in stdout and stderr first.  The digests live in
@@ -42,7 +45,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motionsample import FrameVolume, random_bank, save_kernel_bank, save_raw_tensor
+from motionsample import ConvKernelBank, FrameVolume, random_bank, save_kernel_bank, save_raw_tensor
 from motionsample.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -67,6 +70,9 @@ CHUNKED = {"chunks": (40, 96, 96, 3), "wide": (11, 300, 300, 3)}
 WINDOWED = {"blocks1": (20, 24, 1), "blocks3": (18, 22, 3), "blocks32": (32, 32, 3)}
 # float32 clips of awkward shapes: name -> (T, H, W, C)
 F32_ODD = {"f32-t2": (2, 9, 7, 3), "f32-1x1": (12, 1, 1, 1), "f32-c1": (15, 13, 7, 1), "f32-extremes": (9, 6, 5, 3)}
+# uint8 feature inputs run under a bank that misses the exactness bound: name -> (input flag, relative path)
+WIDE_BANK_INPUTS = {"ppm": ("--frames-dir", "ppm"), "blocks1": ("--raw-tensor", "blocks1.mgvt"),
+                    "blocks3": ("--raw-tensor", "blocks3.mgvt"), "blocks32": ("--raw-tensor", "blocks32.mgvt")}
 # values where float64 differences of float32 pixels are exact, round or vanish
 _EXTREMES = np.array([0.0, -0.0, 1e30, -1e30, 1e-30, -1e-30, 1e-45, -1e-45, 1.5, 3e38], dtype=np.float32)
 
@@ -150,6 +156,13 @@ def _write_odd_ppm_dir(d: Path, frames: np.ndarray) -> None:
         (d / f"f{t}.ppm").write_bytes(header + frame.tobytes())
 
 
+def _wide_banks() -> dict[int, ConvKernelBank]:
+    """Banks whose sums a uint8 frame may round, by channel count: 54.24 bits, and 130.64 from one tiny weight."""
+    tiny = random_bank(1, seed=0).kernels.copy()
+    tiny[2, 0, 3, 4] = 1e-30
+    return {1: ConvKernelBank(tiny), 3: random_bank(3, seed=5)}
+
+
 def build_corpus(root: Path) -> None:
     rng = np.random.default_rng(20261018)
     _write_ppm_dir(root / "ppm", _moving_u8(rng, 24, 16, 16, 3))
@@ -183,6 +196,8 @@ def build_corpus(root: Path) -> None:
         else:
             frames = rng.uniform(0, 255, size=shape).astype(np.float32)
         save_raw_tensor(FrameVolume(frames), root / f"{name}.mgvt")
+    for c, bank in _wide_banks().items():  # seeded apart from rng, so the inputs above stay as they were
+        save_kernel_bank(bank, root / f"wide{c}.mgkb")
 
 
 def _cases() -> dict[str, tuple[list[str], list[str]]]:
@@ -224,6 +239,12 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
             argv = ["sample", "--raw-tensor", f"ROOT/{name}.mgvt", "--strategy", s, *VARIANTS["feature"],
                     "--weights", f"ROOT/bank{c}.mgkb", "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
             cases[f"sample-{name}-feature-{s}"] = (argv, ["plan.json", "curve.csv"])
+    for name, (flag, rel) in WIDE_BANK_INPUTS.items():
+        c = 1 if name == "blocks1" else 3
+        for s in STRATEGIES:
+            argv = ["sample", flag, f"ROOT/{rel}", "--strategy", s, *VARIANTS["feature"],
+                    "--weights", f"ROOT/wide{c}.mgkb", "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
+            cases[f"sample-{name}-feature-wide-{s}"] = (argv, ["plan.json", "curve.csv"])
     for name, (t, _, _, _) in F32_ODD.items():
         for s in STRATEGIES:
             argv = ["sample", "--raw-tensor", f"ROOT/{name}.mgvt", "--strategy", s, "--seed", "7",
