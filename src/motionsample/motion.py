@@ -186,22 +186,22 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
 
 @dataclass(frozen=True)
 class ConvKernelBank:
-    """Finite weights shaped (8, C, 7, 7); stride 1, zero-padding 3, no bias."""
+    """Weights finite as float32, shaped (8, C, 7, 7); stride 1, zero-padding 3, no bias."""
 
     kernels: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.kernels, dtype=np.float32)
+        k = np.asarray(self.kernels)
         if k.ndim != 4 or k.shape[0] != KERNEL_COUNT or k.shape[2:] != (KERNEL_SIZE, KERNEL_SIZE):
             raise ConfigError(
                 f"kernel bank must be shaped (8, C, 7, 7), got {np.shape(self.kernels)}"
             )
         if k.shape[1] not in (1, 3):
             raise ConfigError(f"kernel channel count must be 1 or 3, got {k.shape[1]}")
-        bad = np.flatnonzero(~np.isfinite(k))
+        bad = np.flatnonzero(~(np.abs(k) <= np.finfo(np.float32).max))  # NaN, inf, or inf once cast: named as given
         if bad.size:
             raise ConfigError(f"kernel weights must be finite, got {k.flat[bad[0]]} in filter {bad[0] // k[0].size}")
-        object.__setattr__(self, "kernels", _frozen_array(np.ascontiguousarray(k)))
+        object.__setattr__(self, "kernels", _frozen_array(np.ascontiguousarray(k, dtype=np.float32)))
 
     @property
     def channels(self) -> int:
@@ -212,6 +212,14 @@ class ConvKernelBank:
         """Read-only float64 (7*8, 7*C) weights of ``_conv2d_window``: rows (dx, k), columns (c, dy)."""
         taps = self.kernels.astype(np.float64).transpose(3, 0, 1, 2).reshape(KERNEL_SIZE * KERNEL_COUNT, -1)
         return _frozen_array(taps)
+
+    @cached_property
+    def _sums_uint8_exactly(self) -> bool:
+        """Whether every filter meets README's uint8 bound: 255 * sum|w| / min ulp(w) < 2**53, in integers."""
+        mant, exp = np.frexp(self.kernels.reshape(KERNEL_COUNT, -1).astype(np.float64))
+        units = np.ldexp(np.abs(mant), 24).astype(np.int64).tolist()  # |w| = units * ulp(w) = units * 2**(exp - 24)
+        shifts = (exp - np.where(mant != 0, exp, exp.max()).min(axis=1, keepdims=True)).tolist()  # log2(ulp(w) / min ulp)
+        return all(255 * sum(a << b for a, b in zip(u, e) if a) < 2**53 for u, e in zip(units, shifts))
 
 
 def identity_bank(channels: int = 1) -> ConvKernelBank:
@@ -291,7 +299,8 @@ def _window_scratch(h: int, w: int, c: int) -> tuple[np.ndarray, ...]:
 
 
 def _conv2d_window(
-    frame: np.ndarray, bank: ConvKernelBank, y0: int, y1: int, x0: int, x1: int, scratch: tuple[np.ndarray, ...]
+    frame: np.ndarray, bank: ConvKernelBank, y0: int, y1: int, x0: int, x1: int, scratch: tuple[np.ndarray, ...],
+    prev: np.ndarray | None = None,
 ) -> np.ndarray:
     """Output rows y0:y1 and columns x0:x1 of ``conv2d_apply(frame, bank)``, as the (8, n) block ``_crop_window`` crops.
 
@@ -299,8 +308,10 @@ def _conv2d_window(
     frame's shape), valid until the next call that uses the same buffers.
     Accumulation runs in float64, as one band product over shifted bands.
     The window's input, rows y0-3:y1+3 and columns x0-3:x1+3, is read from
-    the frame into a planar (C, R, Wp) array, Wp = (x1-x0)+6, with zeros
-    only where it reaches past the frame border and in the rows below it.
+    the frame (given ``prev``, from frame - prev in float64: the block then
+    convolves the difference) into a planar (C, R, Wp) array, Wp = (x1-x0)+6,
+    with zeros only where it reaches past the frame border and in the rows
+    below it.
     Band (c, dy) is plane c read flat from offset dy*Wp, n values long, n =
     h*Wp+6 rounded up to a multiple of 64, h = y1-y0; so its entry
     y*Wp + x + dx is input pixel (c, y+dy, x+dx): the 7 horizontal taps of a
@@ -321,9 +332,12 @@ def _conv2d_window(
     padded = flat_padded[: c * rows * wp].reshape(c, rows, wp)
     padded[...] = 0.0
     iy0, iy1, ix0, ix1 = max(y0 - pad, 0), min(y1 + pad, h), max(x0 - pad, 0), min(x1 + pad, w)
-    padded[:, iy0 - y0 + pad : iy1 - y0 + pad, ix0 - x0 + pad : ix1 - x0 + pad] = np.moveaxis(
-        frame[iy0:iy1, ix0:ix1], 2, 0
-    )
+    box = padded[:, iy0 - y0 + pad : iy1 - y0 + pad, ix0 - x0 + pad : ix1 - x0 + pad]
+    if prev is None:
+        box[...] = np.moveaxis(frame[iy0:iy1, ix0:ix1], 2, 0)
+    else:
+        np.subtract(np.moveaxis(frame[iy0:iy1, ix0:ix1], 2, 0), np.moveaxis(prev[iy0:iy1, ix0:ix1], 2, 0),
+                    dtype=np.float64, out=box)
     bands = flat_bands[: c * size * n].reshape(c, size, n)  # band (c, dy): padded's strides, n values long
     np.copyto(bands, np.ndarray((c, size, n), buffer=flat_padded, strides=padded.strides))
     bands = bands.reshape(c * size, n)  # rows (c, dy)
@@ -348,16 +362,19 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     box of the pixels that differ from the previous frame, widened by the
     3-pixel kernel radius and clipped to the frame.  A frame bit-identical
     to its predecessor has no window and scores 0.  The scores have the bits
-    of convolving every frame whole (README, *Reproducibility notes*).  The
-    scratch, whole-frame convolution buffers, the cached feature map and an
-    (H, W) norm map, does not grow with T.
+    of convolving every frame whole (README, *Reproducibility notes*).  uint8
+    frames under a bank that meets README's exactness bound convolve windows
+    of frames[t] - frames[t-1]: no frame 0, no cached feature map.  Other
+    clips convolve frame 0 whole, then windows of frames[t] against the
+    cached map.  The scratch, whole-frame convolution buffers, that map if
+    cached and an (H, W) norm map, does not grow with T.
 
     Pixels compare by value, so 0.0 and -0.0 are equal; the two can change a
     feature value only in the sign of a zero, which no square can see.  A
     NaN never compares equal, so it lies inside its frame's window and is
-    rejected as non-finite.  An infinity does compare equal, so the first
-    feature map is checked directly: a clip whose frame 0 holds one is
-    rejected even when every later frame repeats it.
+    rejected as non-finite.  An infinity does compare equal, so a float32
+    clip's first feature map is checked directly: a clip whose frame 0
+    holds one is rejected even when every later frame repeats it.
     """
     if bank.channels != video.channels:
         raise ConfigError(
@@ -369,12 +386,14 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     norms = np.zeros((h, w))
     out = np.zeros(t_count, dtype=np.float64)
     r = KERNEL_PADDING
+    by_difference = frames.dtype == np.uint8 and bank._sums_uint8_exactly  # README, *Reproducibility notes*
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the errors below name the frame
         scratch = _window_scratch(h, w, c)  # one set of convolution buffers for every window
         _, masks, spent, _ = scratch  # free between windows: the change masks (as bools) and each window's difference
-        feats = _crop_window(_conv2d_window(frames[0], bank, 0, h, 0, w, scratch), h, w).copy()  # updated in place
-        if t_count > 1 and not np.isfinite(feats).all():
-            raise StructuralError("salience entry 1 (frame 0) must be finite and >= 0")
+        if not by_difference:
+            feats = _crop_window(_conv2d_window(frames[0], bank, 0, h, 0, w, scratch), h, w).copy()  # updated in place
+            if t_count > 1 and not np.isfinite(feats).all():
+                raise StructuralError("salience entry 1 (frame 0) must be finite and >= 0")
         k = max(1, min(t_count - 1, masks.nbytes // flat[0].size))
         for s in range(1, t_count, k):
             e = min(s + k, t_count)
@@ -387,15 +406,19 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
                 cols = np.flatnonzero(col_mask)
                 y0, y1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, h)
                 x0, x1 = max(cols[0] // c - r, 0), min(cols[-1] // c + r + 1, w)
-                new = _crop_window(_conv2d_window(frames[t], bank, y0, y1, x0, x1, scratch), y1 - y0, x1 - x0)
-                cached = feats[:, y0:y1, x0:x1]
+                prev = frames[t - 1] if by_difference else None
+                new = _crop_window(_conv2d_window(frames[t], bank, y0, y1, x0, x1, scratch, prev), y1 - y0, x1 - x0)
                 diff = spent[: new.size].reshape(new.shape)  # contiguous, as conv2d_apply's (8, H, W)
-                np.subtract(cached, new, out=diff)  # -(cur - cached), exactly: the same squares
-                np.square(diff, out=diff)
+                if by_difference:
+                    np.square(new, out=diff)
+                else:
+                    cached = feats[:, y0:y1, x0:x1]
+                    np.subtract(cached, new, out=diff)  # -(cur - cached), exactly: the same squares
+                    np.square(diff, out=diff)
+                    cached[...] = new
                 np.sqrt(diff.sum(axis=0), out=norms[y0:y1, x0:x1])
                 out[t] = norms.sum()
                 norms[y0:y1, x0:x1] = 0.0
-                cached[...] = new
     return _salience_vector(out, frames)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,18 @@ def random_volume(rng, t, h=4, w=5, c=1, dtype=np.uint8) -> FrameVolume:
     else:
         data = rng.uniform(0, 255, size=(t, h, w, c)).astype(np.float32)
     return FrameVolume(data)
+
+
+def weights_at_the_bound(units: int) -> list[float]:
+    """Three float32 weights whose |w| sum to ``units`` times the smallest one's ulp, 2**-43.
+
+    A filter holding them meets README's uint8 exactness bound exactly when
+    255 * units < 2**53.
+    """
+    tiny = 1 << 23  # 2**-20, the smallest weight, in ulps
+    b = (units - tiny) % (1 << 22) + (1 << 23)  # no smaller than tiny, so its ulp is no smaller
+    a = units - tiny - b  # a multiple of 2**22 below 2**46: 24 significant bits
+    return [math.ldexp(x, -43) for x in (a, b, tiny)]
 
 
 def random_distribution(rng, t, zero_runs=True) -> MotionDistribution:

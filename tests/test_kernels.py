@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import platform
 import re
@@ -7,6 +8,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from motionsample import (
     zero_bank,
 )
 from motionsample.motion import _band_length, _conv2d_window, _crop_window, _window_scratch
+from conftest import weights_at_the_bound
 from oracles import loop_conv2d, tensordot_conv2d
 import motionsample
 
@@ -56,6 +59,16 @@ class TestBankConstruction:
         k[5, 0, 0, 0] = np.nan  # only the first is named
         with pytest.raises(ConfigError, match=r"^kernel weights must be finite, got -?(nan|inf) in filter 2$"):
             ConvKernelBank(k)
+
+    @pytest.mark.parametrize("big", [1e40, -1e40])
+    def test_weight_past_float32_range_is_named_as_given(self, big):
+        k = np.zeros((8, 1, 7, 7))
+        k[3, 0, 2, 2] = big
+        k[0, 0, 0, 0] = np.finfo(np.float32).max  # the largest float32 itself is fine
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast overflow warning on the way
+            with pytest.raises(ConfigError, match=rf"^kernel weights must be finite, got {re.escape(f'{big:g}')} in filter 3$"):
+                ConvKernelBank(k)
 
     def test_random_bank_is_seed_deterministic(self):
         a = random_bank(1, seed=7)
@@ -222,6 +235,46 @@ def _exact_sum_bits(bank: ConvKernelBank) -> float:
 @pytest.mark.parametrize("c, seed, exact", [(1, 0, True), (3, 0, True), (3, 5, False)])
 def test_default_bank_sums_uint8_exactly_in_any_order(c, seed, exact):
     assert (_exact_sum_bits(random_bank(c, seed=seed)) < 53) == exact
+
+
+@pytest.mark.parametrize("c, seed", [(1, 0), (3, 0), (3, 5), (1, 5), (3, 6)])
+def test_bound_property_agrees_with_the_oracle(c, seed):
+    bank = random_bank(c, seed=seed)
+    assert bank._sums_uint8_exactly == (_exact_sum_bits(bank) < 53)
+
+
+@pytest.mark.parametrize("bank", [identity_bank(1), identity_bank(3), zero_bank(3)])
+def test_banks_with_zero_filters_meet_the_bound(bank):
+    assert bank._sums_uint8_exactly
+
+
+@pytest.mark.parametrize("units, exact", [(2**53 // 255, True), (2**53 // 255 + 1, False)])
+def test_bound_property_is_exact_at_its_edge(units, exact):
+    # 255 * units is 2**53 - 32, then 2**53 + 223: the float oracle's log2 cannot be trusted this close
+    k = np.zeros((8, 3, 7, 7))
+    k[5, 1, 2:5, 3] = weights_at_the_bound(units)
+    k[0, 0, 3, 3] = 1.0
+    assert ConvKernelBank(k)._sums_uint8_exactly == exact
+
+
+def test_bound_property_agrees_with_the_oracle_on_random_banks():
+    # in two banks of three, about half the filters get one small weight whose
+    # ulp puts the filter near 53 bits, so both answers come up often
+    rng = np.random.default_rng(2401)
+    answers, near = [], 0
+    for i in range(1000):
+        c = (1, 3)[i % 2]
+        k = rng.normal(0.0, rng.uniform(1e-3, 10.0), size=(8, c, 7, 7)).astype(np.float32)
+        if i % 3:
+            for f in np.flatnonzero(rng.random(8) < 0.5):
+                e = round(math.log2(255 * float(np.abs(k[f]).sum(dtype=np.float64))) + 24 - rng.uniform(50, 56))
+                k[f, 0, 0, 0] = math.ldexp(rng.uniform(0.5, 1.0), e) * rng.choice([-1, 1])
+        bank = ConvKernelBank(k)
+        bits = _exact_sum_bits(bank)
+        near += abs(bits - 53) < 1
+        answers.append(bank._sums_uint8_exactly)
+        assert answers[-1] == (bits < 53), (i, bits)
+    assert near > 100 and 200 < sum(answers) < 800, (near, sum(answers))
 
 
 @pytest.mark.parametrize("hwc", [(1, 1, 1), (5, 6, 3), (64, 64, 3)])

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from motionsample import motion, sampling
 from motionsample import (
     ConfigError,
+    ConvKernelBank,
     conv2d_apply,
     FrameVolume,
     MotionDistribution,
@@ -24,7 +25,7 @@ from motionsample import (
     smooth_distribution,
     zero_bank,
 )
-from conftest import random_volume
+from conftest import random_volume, weights_at_the_bound
 from oracles import loop_image_salience, shannon_entropy
 
 MU_GRID = (0.0, 0.1, 0.3, 0.5, 0.8, 1.0, 2.0)
@@ -339,15 +340,16 @@ class TestFeatureSkipsRepeats:
         assert s.tobytes() == convolve_every_frame(video, bank).tobytes()
 
     def test_convolves_first_and_changed_frames_only(self, rng, conv_calls):
+        # uint8 under a bank that meets the bound: only the changed frames' differences, never frame 0
         v = repeat_runs(rng, np.uint8, 1)
         feature_diff_salience(v, random_bank(1))
         changed = sum(not np.array_equal(a, b) for a, b in zip(v.frames, v.frames[1:]))
-        assert len(conv_calls) == 1 + changed == 5
+        assert len(conv_calls) == changed == 4
 
     def test_static_clip_convolves_once_and_falls_back_to_uniform(self, rng, conv_calls):
         v = FrameVolume(np.repeat(random_volume(rng, 1).frames, 6, axis=0))
         s = feature_diff_salience(v, random_bank(1))
-        assert len(conv_calls) == 1
+        assert len(conv_calls) == 0  # a uint8 clip under a bank that meets the bound: frame 0 is not convolved
         assert s.values.tolist() == [0.0] * 6
         assert normalize_salience(s).degenerate_uniform
 
@@ -372,6 +374,64 @@ class TestFeatureSkipsRepeats:
         frame = random_volume(rng, 1, dtype=np.float32).frames.copy()
         frame[0, 0, 0, 0] = np.inf
         assert feature_diff_salience(FrameVolume(frame), random_bank(1)).values.tolist() == [0.0]
+
+
+def tiny_weight_bank(c):
+    """``random_bank(c)`` with one weight of 1e-30: 130 bits, far past the uint8 exactness bound."""
+    k = random_bank(c).kernels.copy()
+    k[2, 0, 3, 4] = 1e-30
+    return ConvKernelBank(k)
+
+
+class TestFeatureByDifference:
+    @pytest.mark.parametrize("dtype, wide, by_difference", [(np.uint8, False, True), (np.float32, False, False),
+                                                            (np.uint8, True, False)])
+    def test_frame_0_is_convolved_whole_unless_uint8_meets_the_bound(self, rng, monkeypatch, dtype, wide,
+                                                                     by_difference):
+        calls = []
+        convolve = motion._conv2d_window
+
+        def recording(frame, bank, y0, y1, x0, x1, scratch, prev=None):
+            calls.append(((y0, y1, x0, x1), prev is not None))
+            return convolve(frame, bank, y0, y1, x0, x1, scratch, prev)
+
+        monkeypatch.setattr(motion, "_conv2d_window", recording)
+        v = repeat_runs(rng, dtype, 1)  # 6x7 random frames: every window is the whole frame
+        bank = tiny_weight_bank(1) if wide else random_bank(1)
+        assert bank._sums_uint8_exactly != wide
+        s = feature_diff_salience(v, bank).values
+        whole = (0, 6, 0, 7)
+        assert calls == [(whole, False)] * (not by_difference) + [(whole, by_difference)] * 4
+        monkeypatch.undo()
+        assert s.tobytes() == convolve_every_frame(v, bank).tobytes()
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_static_uint8_clip_convolves_nothing(self, rng, conv_calls, c):
+        v = FrameVolume(np.repeat(random_volume(rng, 1, h=9, w=8, c=c).frames, 4, axis=0))
+        assert feature_diff_salience(v, random_bank(c)).values.tolist() == [0.0] * 4
+        assert conv_calls == []
+
+    def test_windows_convolve_the_difference(self, rng):
+        frames = rng.integers(0, 256, size=(2, 11, 13, 3), dtype=np.uint8)
+        frames[1, :2] = frames[0, :2]
+        bank, scratch = random_bank(3), motion._window_scratch(11, 13, 3)
+        block = motion._conv2d_window(frames[1], bank, 0, 11, 0, 13, scratch, frames[0])
+        expected = conv2d_apply(frames[1].astype(np.float64) - frames[0], bank)
+        assert motion._crop_window(block, 11, 13).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_extreme_frames_under_a_bank_at_the_edge_of_the_bound(self, rng, c):
+        # every filter's sums reach 255 * sum|w| = (2**53 - 32) ulps of its smallest weight
+        k = np.zeros((8, c, 7, 7))
+        for f in range(8):
+            cells = rng.choice(c * 49, size=3, replace=False)
+            k[f].flat[cells] = np.multiply(weights_at_the_bound(2**53 // 255), rng.choice([-1, 1], size=3))
+        bank = ConvKernelBank(k)
+        frames = rng.choice(np.array([0, 255], dtype=np.uint8), size=(6, 10, 9, c))
+        frames[3] = frames[2]
+        v = FrameVolume(frames)
+        assert bank._sums_uint8_exactly
+        assert feature_diff_salience(v, bank).values.tobytes() == convolve_every_frame(v, bank).tobytes()
 
 
 def block_changes(rng, h, w, c, dtype):
@@ -426,8 +486,8 @@ class TestFeatureWindows:
         frames[5:, 0, 0] += 1
         frames[5:, 19, 23] += 1  # opposite corners
         feature_diff_salience(FrameVolume(frames), random_bank(c))
-        assert conv_calls == [(0, 20, 0, 24), (7, 14, 9, 16), (0, 5, 0, 5), (16, 20, 20, 24), (2, 9, 20, 24),
-                              (0, 20, 0, 24)]
+        # uint8 under a bank that meets the bound: no whole-frame call for frame 0
+        assert conv_calls == [(7, 14, 9, 16), (0, 5, 0, 5), (16, 20, 20, 24), (2, 9, 20, 24), (0, 20, 0, 24)]
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
     @pytest.mark.parametrize("c", [1, 3])
@@ -445,7 +505,8 @@ class TestFeatureWindows:
             frames[t:, y0:y1, x0:x1] += 1  # a uint8 255 wraps to 0, still a change
         video, bank = FrameVolume(frames), random_bank(c, seed=5)
         s = feature_diff_salience(video, bank).values
-        windows = conv_calls[1:]  # the oracle's whole-frame calls are counted too
+        frame0 = 0 if dtype == np.uint8 and bank._sums_uint8_exactly else 1  # frame 0's whole-frame call
+        windows = conv_calls[frame0:]  # the oracle's whole-frame calls are counted too
         assert s.tobytes() == convolve_every_frame(video, bank).tobytes()
         areas = [(y1 - y0) * (x1 - x0) for y0, y1, x0, x1 in windows]
         assert len(areas) == len(boxes)

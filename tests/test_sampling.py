@@ -459,6 +459,21 @@ def test_mg_clip_is_motion_uniform_inside_its_window():
     assert worst <= 2, worst
 
 
+def test_segment_is_motion_uniform_in_time_over_every_frame_range():
+    # segment's version of the bound, in time: each of the N draws lies in its
+    # own segment [(i-1)T/N, iT/N), so the picks in any frame range [a, b] differ
+    # from N(b - a + 1)/T by at most 2.  Every range at once, as for mg.
+    rng = np.random.default_rng(2106)
+    worst = 0.0
+    for _ in range(3000):
+        t, n = int(rng.integers(1, 200)), int(rng.integers(1, 40))
+        cfg = cfg_for("segment", n, seed=int(rng.integers(2**63)), deterministic=bool(rng.random() < 0.5))
+        picks = np.concatenate([[0], np.cumsum(np.bincount(segment_sample(t, cfg).indices, minlength=t))])
+        deviation = picks - n * np.arange(t + 1) / t
+        worst = max(worst, deviation.max() - deviation.min())
+    assert worst <= 2, worst
+
+
 class TestMgSegmentRelationship:
     def test_deviation_at_most_one_index_everywhere(self):
         # Exhaustive uniform-distribution sweep; the two conventions may
