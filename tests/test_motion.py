@@ -405,12 +405,6 @@ class TestFeatureByDifference:
         monkeypatch.undo()
         assert s.tobytes() == convolve_every_frame(v, bank).tobytes()
 
-    @pytest.mark.parametrize("c", [1, 3])
-    def test_static_uint8_clip_convolves_nothing(self, rng, conv_calls, c):
-        v = FrameVolume(np.repeat(random_volume(rng, 1, h=9, w=8, c=c).frames, 4, axis=0))
-        assert feature_diff_salience(v, random_bank(c)).values.tolist() == [0.0] * 4
-        assert conv_calls == []
-
     def test_windows_convolve_the_difference(self, rng):
         frames = rng.integers(0, 256, size=(2, 11, 13, 3), dtype=np.uint8)
         frames[1, :2] = frames[0, :2]
