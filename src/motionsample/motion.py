@@ -308,7 +308,7 @@ def _conv2d_window(
     frame's shape), valid until the next call that uses the same buffers.
     Accumulation runs in float64, as one band product over shifted bands.
     The window's input, rows y0-3:y1+3 and columns x0-3:x1+3, is read from
-    the frame (given ``prev``, from frame - prev in float64: the block then
+    the frame (given a uint8 ``prev``, from frame - prev: the block then
     convolves the difference) into a planar (C, R, Wp) array, Wp = (x1-x0)+6,
     with zeros only where it reaches past the frame border and in the rows
     below it.
@@ -332,12 +332,10 @@ def _conv2d_window(
     padded = flat_padded[: c * rows * wp].reshape(c, rows, wp)
     padded[...] = 0.0
     iy0, iy1, ix0, ix1 = max(y0 - pad, 0), min(y1 + pad, h), max(x0 - pad, 0), min(x1 + pad, w)
-    box = padded[:, iy0 - y0 + pad : iy1 - y0 + pad, ix0 - x0 + pad : ix1 - x0 + pad]
-    if prev is None:
-        box[...] = np.moveaxis(frame[iy0:iy1, ix0:ix1], 2, 0)
-    else:
-        np.subtract(np.moveaxis(frame[iy0:iy1, ix0:ix1], 2, 0), np.moveaxis(prev[iy0:iy1, ix0:ix1], 2, 0),
-                    dtype=np.float64, out=box)
+    src = frame[iy0:iy1, ix0:ix1]
+    if prev is not None:  # uint8 frames: the difference is exact in int16, taken in the frame's own layout
+        src = np.subtract(src, prev[iy0:iy1, ix0:ix1], dtype=np.int16)
+    padded[:, iy0 - y0 + pad : iy1 - y0 + pad, ix0 - x0 + pad : ix1 - x0 + pad] = np.moveaxis(src, 2, 0)
     bands = flat_bands[: c * size * n].reshape(c, size, n)  # band (c, dy): padded's strides, n values long
     np.copyto(bands, np.ndarray((c, size, n), buffer=flat_padded, strides=padded.strides))
     bands = bands.reshape(c * size, n)  # rows (c, dy)

@@ -315,6 +315,28 @@ def test_feature_salience_scratch_does_not_grow_with_t(rng):
     assert long < scratch + 2 * feature_map  # the cached map, plus slack
 
 
+def test_uint8_feature_salience_keeps_no_feature_map(rng):
+    # beside the convolution scratch, a uint8 clip under a bank that meets the
+    # bound holds only arrays of an eighth of an (8, H, W) map or less (norms,
+    # a window's channel sum, its difference); a float32 clip caches the map
+    h, w, c = 64, 64, 3
+    bank = random_bank(c, seed=0)
+    frames = rng.integers(0, 256, size=(6, h, w, c), dtype=np.uint8)
+    scratch, feature_map = sum(buf.nbytes for buf in _window_scratch(h, w, c)), 8 * h * w * 8
+
+    def peak_of(video: FrameVolume) -> int:
+        feature_diff_salience(video, bank)  # numpy's first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            feature_diff_salience(video, bank)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_of(FrameVolume(frames)) < scratch + feature_map * 3 // 4
+    assert peak_of(FrameVolume(frames.astype(np.float32))) > scratch + feature_map
+
+
 def test_uint8_image_salience_scratch_does_not_grow_with_t(rng):
     h, w, c = 112, 112, 3
     frame_bytes = h * w * c
