@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import ConfigError, MotionSampleError
 from .evalbench import SyntheticSpec, compare_strategies, generate_synthetic_video
 from .ingest import export_outputs, list_videos, load_kernel_bank, load_video, save_raw_tensor, video_reads, write_atomic
-from .motion import ConvKernelBank, downsample_volume
+from .motion import downsample_volume
 from .pipeline import REPRESENTATIONS, sample_video
 from .sampling import (
     STRATEGIES,
@@ -35,7 +35,7 @@ EXIT_INPUT = 2
 
 
 class _UsageError(Exception):
-    pass
+    """A usage message; ``main`` adds ``motionsample <command>: error: `` to a handler's, argparse's has its own."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,7 +113,7 @@ def _sampler_config(args: argparse.Namespace, **fields) -> SamplerConfig:
             **fields,
         )
     except ConfigError as e:
-        raise _UsageError(f"motionsample {args.command}: error: {e}") from e
+        raise _UsageError(str(e)) from e
 
 
 def _parse_bursts(args: argparse.Namespace) -> tuple[tuple[int, int, float], ...]:
@@ -123,11 +123,11 @@ def _parse_bursts(args: argparse.Namespace) -> tuple[tuple[int, int, float], ...
     for text in args.burst:
         parts = text.split(":")
         if len(parts) != 3:
-            raise _UsageError(f"motionsample {args.command}: error: --burst wants S:E:AMP, got {text!r}")
+            raise _UsageError(f"--burst wants S:E:AMP, got {text!r}")
         try:
             bursts.append((int(parts[0]), int(parts[1]), float(parts[2])))
         except ValueError as e:
-            raise _UsageError(f"motionsample {args.command}: error: bad --burst {text!r}: {e}") from e
+            raise _UsageError(f"bad --burst {text!r}: {e}") from e
     return tuple(bursts)
 
 
@@ -144,28 +144,7 @@ def _synthetic_spec(args: argparse.Namespace) -> SyntheticSpec:
             seed=args.gen_seed,
         )
     except ConfigError as e:
-        raise _UsageError(f"motionsample {args.command}: error: {e}") from e
-
-
-def _sample_one(args: argparse.Namespace, cfg: SamplerConfig, bank: ConvKernelBank | None,
-                path: Path, frames_dir: bool, out_path, curve_path) -> str | None:
-    """Load one video, sample it, and write its plan (stdout when out_path is None).
-
-    Returns None once the plan is written, else an error message that starts
-    with the video path.
-    """
-    try:
-        volume = downsample_volume(load_video(path, frames_dir)[0], args.downsample)
-        plan, curve, _ = sample_video(volume, cfg, args.representation, bank)
-        if out_path is not None:
-            export_outputs(plan, out_path, curve, curve_path)
-            return None
-        if curve_path is not None:
-            write_atomic(curve_path, curve_to_csv(curve))
-    except (MotionSampleError, OSError) as e:
-        return str(e) if str(e).startswith(str(path)) else f"{path}: {e}"
-    sys.stdout.write(plan_to_json(plan))
-    return None
+        raise _UsageError(str(e)) from e
 
 
 def _batch_jobs(root: Path, out_dir: Path) -> list[tuple[Path, bool, Path]]:
@@ -187,28 +166,39 @@ def _usable_cpus() -> int:
 
 def _run_sample(args: argparse.Namespace) -> int:
     if args.weights and args.representation == "image":
-        raise _UsageError("motionsample sample: error: --weights needs --representation feature")
+        raise _UsageError("--weights needs --representation feature")
     if args.downsample < 1:
-        raise _UsageError("motionsample sample: error: --downsample must be >= 1")
+        raise _UsageError("--downsample must be >= 1")
     cfg = _sampler_config(args, strategy=args.strategy, window_len=args.window)
     if args.batch and args.emit_curve:
-        raise _UsageError("motionsample sample: error: --emit-curve is not available with --batch")
+        raise _UsageError("--emit-curve is not available with --batch")
     if args.batch and not args.out:
-        raise _UsageError("motionsample sample: error: --batch requires --out DIRECTORY")
+        raise _UsageError("--batch requires --out DIRECTORY")
     if args.out and args.emit_curve and Path(args.out).resolve() == Path(args.emit_curve).resolve():
-        raise _UsageError("motionsample sample: error: --out and --emit-curve name the same file")
+        raise _UsageError("--out and --emit-curve name the same file")
     root = Path(args.frames_dir or args.raw_tensor)
     for flag, target in (("--out", args.out), ("--emit-curve", args.emit_curve)):
         if target and not args.batch and video_reads(root, args.frames_dir is not None, target):
-            raise _UsageError(f"motionsample sample: error: {flag} {target} names a file of the input video {root}")
+            raise _UsageError(f"{flag} {target} names a file of the input video {root}")
     # A single video is the batch of one at ordinal 0, whose seed is --seed itself.
     jobs = _batch_jobs(root, Path(args.out)) if args.batch else [(root, args.frames_dir is not None, args.out)]
     bank = load_kernel_bank(args.weights) if args.weights else None
 
     def work(item: tuple[int, tuple[Path, bool, Path | str | None]]) -> str | None:
+        """Load, sample and write one video (its plan to stdout without --out); else an error that starts with its path."""
         ordinal, (path, frames_dir, out_path) = item
-        cfg_v = replace(cfg, seed=video_seed(cfg.seed, ordinal))
-        return _sample_one(args, cfg_v, bank, path, frames_dir, out_path, args.emit_curve)
+        try:
+            volume = downsample_volume(load_video(path, frames_dir)[0], args.downsample)
+            plan, curve, _ = sample_video(volume, replace(cfg, seed=video_seed(cfg.seed, ordinal)), args.representation, bank)
+            if out_path is not None:
+                export_outputs(plan, out_path, curve, args.emit_curve)
+                return None
+            if args.emit_curve is not None:
+                write_atomic(args.emit_curve, curve_to_csv(curve))
+        except (MotionSampleError, OSError) as e:
+            return str(e) if str(e).startswith(str(path)) else f"{path}: {e}"
+        sys.stdout.write(plan_to_json(plan))
+        return None
 
     if args.batch:
         Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -269,7 +259,7 @@ def main(argv=None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except _UsageError as e:
-        print(e, file=sys.stderr)
+        print(f"motionsample {args.command}: error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (MotionSampleError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

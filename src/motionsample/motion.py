@@ -147,10 +147,10 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
 
     Channels count as extra spatial extent: for C=3 the absolute differences
     of all three channels are summed.  uint8 scores are exact integers,
-    whatever the chunking; float32 frames are widened once into reused
-    float64 buffers and differenced and summed there.  Scratch memory does
-    not grow with T.  README, *Reproducibility notes*, states the chunking,
-    accumulator and float32 rules.
+    whatever the chunking; float32 frames are widened once into two reused
+    float64 buffers, differenced over frame t-1's and summed there.  Scratch
+    memory does not grow with T.  README, *Reproducibility notes*, states
+    the chunking, accumulator and float32 rules.
     """
     frames = video.frames
     t_count = video.t_count
@@ -170,16 +170,15 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
             out[s:e] = hk.sum(axis=1, dtype=acc)
     else:
         n = frames[0].size
-        step = -(-n // 8) * 8  # whole 64-byte lines per frame, so all three buffers start on one
-        block = _aligned_empty(3 * step)
-        prev, cur, diff = (block[i * step : i * step + n].reshape(frames.shape[1:]) for i in range(3))
+        step = -(-n // 8) * 8  # whole 64-byte lines per frame, so both buffers start on one
+        prev, cur = _aligned_empty(2 * step).reshape(2, step)[:, :n].reshape(2, *frames.shape[1:])
         np.copyto(prev, frames[0])
         with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the error below names the frame
             for t in range(1, t_count):
                 np.copyto(cur, frames[t])
-                np.subtract(cur, prev, out=diff)
-                np.abs(diff, out=diff)
-                out[t] = diff.sum(dtype=np.float64)
+                np.subtract(cur, prev, out=prev)  # frame t-1's last read: its buffer takes the difference
+                np.abs(prev, out=prev)
+                out[t] = prev.sum(dtype=np.float64)
                 prev, cur = cur, prev
     return _salience_vector(out, frames)
 
@@ -251,7 +250,7 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
     """Cross-correlate one (H, W, C) frame with the bank; returns (8, H, W).
 
     Stride 1 with zero-padding 3, so the spatial size is preserved.  This is
-    the widest window of ``_conv2d_window``, which documents the layout.
+    the widest window of ``_conv2d_window``, copied out of its scratch.
     Each output sums the same 49*C products as the direct correlation, in a
     float64 order that BLAS fixes in part; README, *Reproducibility notes*,
     says which bits that leaves to the BLAS kernel.
@@ -264,7 +263,7 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
             f"kernel bank expects {bank.channels} channel(s), frame has {frame.shape[2]}"
         )
     h, w, c = frame.shape
-    return np.ascontiguousarray(_crop_window(_conv2d_window(frame, bank, 0, h, 0, w, _window_scratch(h, w, c)), h, w))
+    return np.ascontiguousarray(_conv2d_window(frame, bank, 0, h, 0, w, _window_scratch(h, w, c)))
 
 
 def _aligned_empty(size: int) -> np.ndarray:
@@ -277,12 +276,6 @@ def _aligned_empty(size: int) -> np.ndarray:
 def _band_length(h: int, wp: int) -> int:
     """Columns of each band of an h-row window with rows Wp wide: h*Wp + 6, rounded up to whole column blocks."""
     return -(-(h * wp + KERNEL_SIZE - 1) // _COLUMN_BLOCK) * _COLUMN_BLOCK
-
-
-def _crop_window(block: np.ndarray, h: int, w: int) -> np.ndarray:
-    """The (8, h, w) window of an (8, n) output block of ``_conv2d_window``, whose rows are Wp = w + 6 columns apart."""
-    wp = w + 2 * KERNEL_PADDING
-    return block[:, : h * wp].reshape(KERNEL_COUNT, h, wp)[:, :, :w]
 
 
 def _window_scratch(h: int, w: int, c: int) -> tuple[np.ndarray, ...]:
@@ -302,13 +295,13 @@ def _conv2d_window(
     frame: np.ndarray, bank: ConvKernelBank, y0: int, y1: int, x0: int, x1: int, scratch: tuple[np.ndarray, ...],
     prev: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Output rows y0:y1 and columns x0:x1 of ``conv2d_apply(frame, bank)``, as the (8, n) block ``_crop_window`` crops.
+    """Output rows y0:y1 and columns x0:x1 of ``conv2d_apply(frame, bank)``, shaped (8, y1-y0, x1-x0).
 
-    The block is a view into ``scratch`` (from ``_window_scratch`` for the
+    The window is a view into ``scratch`` (from ``_window_scratch`` for the
     frame's shape), valid until the next call that uses the same buffers.
     Accumulation runs in float64, as one band product over shifted bands.
     The window's input, rows y0-3:y1+3 and columns x0-3:x1+3, is read from
-    the frame (given a uint8 ``prev``, from frame - prev: the block then
+    the frame (given a uint8 ``prev``, from frame - prev: the window then
     convolves the difference) into a planar (C, R, Wp) array, Wp = (x1-x0)+6,
     with zeros only where it reaches past the frame border and in the rows
     below it.
@@ -319,9 +312,9 @@ def _conv2d_window(
     matrix, rows (dx, k) and columns (c, dy), times the (7*C, n) bands give
     Y (7, 8, n) in one dgemm.  Output (k, y, x) is Y[0, k, y*Wp + x] + ... +
     Y[6, k, y*Wp + x + 6], added in that order, each add once over a dx slab
-    read flat; the crop drops the columns past h*Wp, which mix in the next
-    filter's row, and the 6 pad columns of each row.  Each value has the
-    whole frame's bits (README, *Reproducibility notes*).
+    read flat; the returned view leaves out the columns past h*Wp, which mix
+    in the next filter's row, and the 6 pad columns of each row.  Each value
+    has the whole frame's bits (README, *Reproducibility notes*).
     """
     h, w, c = frame.shape
     pad, size = KERNEL_PADDING, KERNEL_SIZE
@@ -346,7 +339,8 @@ def _conv2d_window(
     np.add(partial[0, : out.size], partial[1, 1 : 1 + out.size], out=out)
     for dx in range(2, size):
         out += partial[dx, dx : dx + out.size]
-    return flat_out[: KERNEL_COUNT * n].reshape(KERNEL_COUNT, n)
+    block = flat_out[: KERNEL_COUNT * n].reshape(KERNEL_COUNT, n)
+    return block[:, : (y1 - y0) * wp].reshape(KERNEL_COUNT, y1 - y0, wp)[:, :, : x1 - x0]
 
 
 def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceVector:
@@ -389,7 +383,7 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
         scratch = _window_scratch(h, w, c)  # one set of convolution buffers for every window
         _, masks, spent, _ = scratch  # free between windows: the change masks (as bools) and each window's difference
         if not by_difference:
-            feats = _crop_window(_conv2d_window(frames[0], bank, 0, h, 0, w, scratch), h, w).copy()  # updated in place
+            feats = _conv2d_window(frames[0], bank, 0, h, 0, w, scratch).copy()  # updated in place
             if t_count > 1 and not np.isfinite(feats).all():
                 raise StructuralError("salience entry 1 (frame 0) must be finite and >= 0")
         k = max(1, min(t_count - 1, masks.nbytes // flat[0].size))
@@ -405,7 +399,7 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
                 y0, y1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, h)
                 x0, x1 = max(cols[0] // c - r, 0), min(cols[-1] // c + r + 1, w)
                 prev = frames[t - 1] if by_difference else None
-                new = _crop_window(_conv2d_window(frames[t], bank, y0, y1, x0, x1, scratch, prev), y1 - y0, x1 - x0)
+                new = _conv2d_window(frames[t], bank, y0, y1, x0, x1, scratch, prev)
                 diff = spent[: new.size].reshape(new.shape)  # contiguous, as conv2d_apply's (8, H, W)
                 if by_difference:
                     np.square(new, out=diff)

@@ -28,7 +28,7 @@ from motionsample import (
     save_kernel_bank,
     zero_bank,
 )
-from motionsample.motion import _band_length, _conv2d_window, _crop_window, _window_scratch
+from motionsample.motion import _band_length, _conv2d_window, _window_scratch
 from conftest import weights_at_the_bound
 from oracles import loop_conv2d, tensordot_conv2d
 import motionsample
@@ -197,23 +197,22 @@ class TestConv2dWindow:
         whole = conv2d_apply(frame, bank)
         scratch = _window_scratch(*frame.shape)  # shared by every window, as in a clip
         for y0, y1, x0, x1 in _edge_windows(*hw):
-            window = _crop_window(_conv2d_window(frame, bank, y0, y1, x0, x1, scratch), y1 - y0, x1 - x0)
+            window = _conv2d_window(frame, bank, y0, y1, x0, x1, scratch)
             assert window.tobytes() == whole[:, y0:y1, x0:x1].tobytes(), (y0, y1, x0, x1)
 
     # the whole 6x25 frame, then windows of that size inside a 20x40 frame, at its top right and bottom left
     @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
     @pytest.mark.parametrize("hw, y0, x0", [((6, 25), 0, 0), ((20, 40), 2, 5), ((20, 40), 0, 15), ((20, 40), 14, 0)])
-    def test_block_of_whole_column_blocks_crops_to_the_whole_frame_bits(self, rng, dtype, hw, y0, x0):
+    def test_window_whose_bands_fill_whole_column_blocks_has_the_whole_frame_bits(self, rng, dtype, hw, y0, x0):
         # 6 rows of Wp = 31: the band length h*Wp + 6 = 192 needs no rounding, so the
-        # last filter's last output sits in the block's last column
+        # last filter's last output sits in the output block's last column
         h, w, c = 6, 25, 3
         assert _band_length(h, w + 6) == h * (w + 6) + 6 == 3 * 64
         frame = rng.uniform(0, 255, size=(*hw, c)).astype(dtype)
         bank = random_bank(c, seed=5)
-        block = _conv2d_window(frame, bank, y0, y0 + h, x0, x0 + w, _window_scratch(*frame.shape))
-        assert block.shape == (8, 192)
+        window = _conv2d_window(frame, bank, y0, y0 + h, x0, x0 + w, _window_scratch(*frame.shape))
         whole = conv2d_apply(frame, bank)
-        assert _crop_window(block, h, w).tobytes() == whole[:, y0 : y0 + h, x0 : x0 + w].tobytes()
+        assert window.tobytes() == whole[:, y0 : y0 + h, x0 : x0 + w].tobytes()
 
 
 def _exact_sum_bits(bank: ConvKernelBank) -> float:
@@ -370,7 +369,7 @@ def test_float32_image_salience_scratch_does_not_grow_with_t(rng):
 
     short, long = peak_of(20), peak_of(400)
     assert long - short <= 8 * (400 - 20) + 8 * 1024  # the float64 score vector, plus slack
-    assert long < 4 * frame64  # three float64 frame buffers, plus slack
+    assert long < 3 * frame64  # two float64 frame buffers, plus slack
 
 
 # Printed by a child process under another OpenBLAS kernel and by this one.
@@ -414,7 +413,7 @@ def test_uint8_feature_salience_same_bytes_under_prescott_kernel():
 _FLOAT32_WINDOWS = f"""
 import numpy as np
 from motionsample import conv2d_apply, random_bank
-from motionsample.motion import _conv2d_window, _crop_window, _window_scratch
+from motionsample.motion import _conv2d_window, _window_scratch
 rng = np.random.default_rng(3)
 frame = rng.uniform(0, 255, size=(64, 64, 3)).astype(np.float32)
 bank = random_bank(3, seed=0)
@@ -422,7 +421,7 @@ whole = conv2d_apply(frame, bank)
 scratch = _window_scratch(64, 64, 3)
 windows = {[*_edge_windows(64, 64), (3, 60, 0, 64), (9, 64, 5, 61), (0, 51, 13, 64), (20, 63, 1, 50)]!r}
 for y0, y1, x0, x1 in windows:
-    window = _crop_window(_conv2d_window(frame, bank, y0, y1, x0, x1, scratch), y1 - y0, x1 - x0)
+    window = _conv2d_window(frame, bank, y0, y1, x0, x1, scratch)
     print(window.tobytes() == whole[:, y0:y1, x0:x1].tobytes())
 """
 

@@ -339,14 +339,14 @@ class TestFeatureSkipsRepeats:
         s = feature_diff_salience(video, bank).values
         assert s.tobytes() == convolve_every_frame(video, bank).tobytes()
 
-    def test_convolves_first_and_changed_frames_only(self, rng, conv_calls):
+    def test_uint8_clip_convolves_changed_frames_only(self, rng, conv_calls):
         # uint8 under a bank that meets the bound: only the changed frames' differences, never frame 0
         v = repeat_runs(rng, np.uint8, 1)
         feature_diff_salience(v, random_bank(1))
         changed = sum(not np.array_equal(a, b) for a, b in zip(v.frames, v.frames[1:]))
         assert len(conv_calls) == changed == 4
 
-    def test_static_clip_convolves_once_and_falls_back_to_uniform(self, rng, conv_calls):
+    def test_static_uint8_clip_convolves_nothing_and_falls_back_to_uniform(self, rng, conv_calls):
         v = FrameVolume(np.repeat(random_volume(rng, 1).frames, 6, axis=0))
         s = feature_diff_salience(v, random_bank(1))
         assert len(conv_calls) == 0  # a uint8 clip under a bank that meets the bound: frame 0 is not convolved
@@ -409,9 +409,20 @@ class TestFeatureByDifference:
         frames = rng.integers(0, 256, size=(2, 11, 13, 3), dtype=np.uint8)
         frames[1, :2] = frames[0, :2]
         bank, scratch = random_bank(3), motion._window_scratch(11, 13, 3)
-        block = motion._conv2d_window(frames[1], bank, 0, 11, 0, 13, scratch, frames[0])
+        window = motion._conv2d_window(frames[1], bank, 0, 11, 0, 13, scratch, frames[0])
         expected = conv2d_apply(frames[1].astype(np.float64) - frames[0], bank)
-        assert motion._crop_window(block, 11, 13).tobytes() == expected.tobytes()
+        assert window.tobytes() == expected.tobytes()
+
+    def test_uint8_clip_under_a_bank_that_misses_the_bound_keeps_the_whole_frame_bits(self, rng):
+        # 1.0 beside 3.3e-9 misses the bound, so convolving the difference could round
+        # apart from differencing the features; 1e-30 could not catch it, those sums are exact
+        k = np.zeros((8, 1, 7, 7), dtype=np.float32)
+        k[0, 0, 3, 3], k[0, 0, 3, 4] = 1.0, 3.3e-9
+        bank = ConvKernelBank(k)
+        assert not bank._sums_uint8_exactly
+        for _ in range(4):
+            video = random_volume(rng, 12, h=9, w=11)
+            assert feature_diff_salience(video, bank).values.tobytes() == convolve_every_frame(video, bank).tobytes()
 
     @pytest.mark.parametrize("c", [1, 3])
     def test_extreme_frames_under_a_bank_at_the_edge_of_the_bound(self, rng, c):
