@@ -45,7 +45,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from motionsample import ConvKernelBank, FrameVolume, random_bank, save_kernel_bank, save_raw_tensor
+from motionsample import (
+    ConvKernelBank,
+    FrameVolume,
+    SyntheticSpec,
+    generate_synthetic_video,
+    random_bank,
+    save_kernel_bank,
+    save_raw_tensor,
+)
 from motionsample.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -73,6 +81,8 @@ F32_ODD = {"f32-t2": (2, 9, 7, 3), "f32-1x1": (12, 1, 1, 1), "f32-c1": (15, 13, 
 # uint8 feature inputs run under a bank that misses the exactness bound: name -> (input flag, relative path)
 WIDE_BANK_INPUTS = {"ppm": ("--frames-dir", "ppm"), "blocks1": ("--raw-tensor", "blocks1.mgvt"),
                     "blocks3": ("--raw-tensor", "blocks3.mgvt"), "blocks32": ("--raw-tensor", "blocks32.mgvt")}
+# integer-valued float32 clips written by the synthetic generator: name -> channels
+SYNTH_INT = {"synth1": 1, "synth3": 3}
 # values where float64 differences of float32 pixels are exact, round or vanish
 _EXTREMES = np.array([0.0, -0.0, 1e30, -1e30, 1e-30, -1e-30, 1e-45, -1e-45, 1.5, 3e38], dtype=np.float32)
 
@@ -198,6 +208,9 @@ def build_corpus(root: Path) -> None:
         save_raw_tensor(FrameVolume(frames), root / f"{name}.mgvt")
     for c, bank in _wide_banks().items():  # seeded apart from rng, so the inputs above stay as they were
         save_kernel_bank(bank, root / f"wide{c}.mgkb")
+    for name, c in SYNTH_INT.items():  # no noise and integer bursts: every value an integer in 0..255
+        spec = SyntheticSpec(t_count=40, height=16, width=16, channels=c, bursts=((5, 12, 50), (25, 31, 100)))
+        save_raw_tensor(generate_synthetic_video(spec), root / f"{name}.mgvt")
 
 
 def _cases() -> dict[str, tuple[list[str], list[str]]]:
@@ -250,6 +263,11 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
             argv = ["sample", "--raw-tensor", f"ROOT/{name}.mgvt", "--strategy", s, "--seed", "7",
                     "--num-frames", str(min(t, 4)), "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
             cases[f"sample-{name}-{s}"] = (argv, ["plan.json", "curve.csv"])
+    for name, c in SYNTH_INT.items():
+        for s in STRATEGIES:
+            argv = ["sample", "--raw-tensor", f"ROOT/{name}.mgvt", "--strategy", s, *VARIANTS["feature"],
+                    "--weights", f"ROOT/bank{c}.mgkb", "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
+            cases[f"sample-{name}-feature-{s}"] = (argv, ["plan.json", "curve.csv"])
     batch_plans = [f"clip{i}.plan.json" for i in (2, 3, 4, 10)]
     for variant, extra in VARIANTS.items():
         weights = ["--weights", "ROOT/bank3.mgkb"] if variant == "feature" else []
@@ -268,6 +286,11 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
     cases["eval-file"] = (["eval", *synth, "--mu", "2", "--deterministic", "--out", "OUT/report.json"],
                           ["report.json"])
     cases["gen"] = (["gen", *synth, "--out", "OUT/g.mgvt"], ["g.mgvt"])
+    for c in (1, 3):  # integer bursts over the integer background, no noise: an integer-valued float32 clip
+        argv = ["eval", "--t-count", "60", "--height", "16", "--width", "16", "--channels", str(c),
+                "--burst", "10:19:4", "--burst", "40:44:9", "--noise", "0", "--representation", "feature",
+                "--seed", "9"]
+        cases[f"eval-feature-c{c}"] = (argv, [])
     return cases
 
 
