@@ -13,7 +13,6 @@ from .errors import ConfigError, FormatError, MotionSampleError, StructuralError
 from .evalbench import (
     CoverageReport,
     SyntheticSpec,
-    block_area,
     burst_coverage,
     compare_strategies,
     generate_synthetic_video,
@@ -25,7 +24,6 @@ from .ingest import (
     load_frame_directory,
     load_kernel_bank,
     load_raw_tensor,
-    natural_key,
     save_kernel_bank,
     save_raw_tensor,
 )
@@ -42,9 +40,7 @@ from .motion import (
     normalize_salience,
     random_bank,
     smooth_distribution,
-    zero_bank,
 )
-from .pipeline import sample_video
 from .sampling import (
     STRATEGIES,
     CumulativeCurve,
@@ -57,6 +53,7 @@ from .sampling import (
     mg_sample,
     plan_to_json,
     sample_from_distribution,
+    sample_video,
     segment_sample,
     stride_sample,
     topk_sample,

@@ -19,13 +19,13 @@ from pathlib import Path
 from .errors import ConfigError, MotionSampleError
 from .evalbench import SyntheticSpec, compare_strategies, generate_synthetic_video
 from .ingest import export_outputs, list_videos, load_kernel_bank, load_video, save_raw_tensor, video_reads, write_atomic
-from .motion import downsample_volume
-from .pipeline import REPRESENTATIONS, sample_video
+from .motion import REPRESENTATIONS, downsample_volume
 from .sampling import (
     STRATEGIES,
     SamplerConfig,
     curve_to_csv,
     plan_to_json,
+    sample_video,
     video_seed,
 )
 

@@ -2,9 +2,9 @@
 
 The generator plants motion bursts with analytically exact salience: every
 frame inside a burst toggles one block in a cycling grid of disjoint slots,
-so each in-burst transition changes exactly block_area pixels by exactly the
-burst amplitude.  Outside bursts (and with zero noise) consecutive frames
-are identical.
+so each in-burst transition changes exactly max(1, H // 8) * max(1, W // 8)
+pixels by exactly the burst amplitude.  Outside bursts (and with zero noise)
+consecutive frames are identical.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .motion import FrameVolume, MotionDistribution
-from .pipeline import video_distribution
+from .motion import FrameVolume, MotionDistribution, video_distribution
 from .sampling import SamplePlan, SamplerConfig, make_rng, sample_from_distribution
 
 COMPARED_STRATEGIES = ("mg", "segment", "stride", "topk")
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,8 @@ class SyntheticSpec:
     Bursts are zero-based inclusive (start, end, amplitude) frame ranges and
     may not overlap.  Amplitude and background should be exactly
     representable in float32 (integers are) so the generated salience is
-    exact.  ``noise`` adds per-frame uniform noise in [-noise, noise].
+    exact.  ``noise`` adds per-frame uniform noise in [-noise, noise]; every
+    frame value, noise included, must lie within the float32 range.
     """
 
     t_count: int
@@ -46,14 +47,16 @@ class SyntheticSpec:
             raise ConfigError("t_count, height, and width must all be >= 1")
         if self.channels not in (1, 3):
             raise ConfigError(f"channels must be 1 or 3, got {self.channels}")
-        if self.noise < 0:
-            raise ConfigError(f"noise amplitude must be >= 0, got {self.noise!r}")
+        if not 0 <= self.noise <= _F32_MAX:  # NaN fails every comparison, here and below
+            raise ConfigError(f"noise amplitude must be >= 0 and within float32, got {self.noise!r}")
+        if not abs(self.background) + self.noise <= _F32_MAX:
+            raise ConfigError(f"background must keep frames, noise included, within float32, got {self.background!r}")
         bursts = tuple((int(s), int(e), float(a)) for s, e, a in self.bursts)
         for s, e, a in bursts:
             if not (0 <= s <= e <= self.t_count - 1):
                 raise ConfigError(f"burst ({s}, {e}) outside frames [0, {self.t_count - 1}]")
-            if a <= 0:
-                raise ConfigError(f"burst amplitude must be > 0, got {a!r}")
+            if not (a > 0 and abs(self.background + a) + self.noise <= _F32_MAX):
+                raise ConfigError(f"burst amplitude must be > 0 and keep frames within float32, got {a!r}")
         for (s1, e1, _), (s2, e2, _) in zip(sorted(bursts), sorted(bursts)[1:]):
             if s2 <= e1:
                 raise ConfigError(f"bursts ({s1},{e1}) and ({s2},{e2}) overlap")
@@ -64,9 +67,6 @@ class SyntheticSpec:
             if s <= frame <= e:
                 return a
         return None
-
-    def contains(self, frame: int) -> bool:
-        return self.burst_amplitude(frame) is not None
 
 
 @dataclass(frozen=True)
@@ -89,24 +89,14 @@ class CoverageReport:
         return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _block_shape(spec: SyntheticSpec) -> tuple[int, int]:
-    return max(1, spec.height // 8), max(1, spec.width // 8)
-
-
-def block_area(spec: SyntheticSpec) -> int:
-    """Pixels per toggled block; one in-burst transition moves amplitude * this."""
-    bh, bw = _block_shape(spec)
-    return bh * bw
-
-
 def generate_synthetic_video(spec: SyntheticSpec) -> FrameVolume:
     """Render the spec to a float32 frame volume.
 
-    Every frame in a burst toggles one block, so the summed absolute
-    difference of transition t is exactly amplitude * block_area for
-    zero-based t in [max(start, 1), end] and 0 elsewhere (noise aside).
+    Every burst frame toggles one max(1, H // 8) x max(1, W // 8) block, so
+    the summed absolute difference of transition t is exactly amplitude times
+    its area for zero-based t in [max(start, 1), end], else 0 (noise aside).
     """
-    bh, bw = _block_shape(spec)
+    bh, bw = max(1, spec.height // 8), max(1, spec.width // 8)
     rows, cols = spec.height // bh, spec.width // bw
     slots = [(r * bh, c * bw) for r in range(rows) for c in range(cols)]
     on_amp = np.zeros(len(slots))
@@ -140,7 +130,7 @@ def burst_coverage(plan: SamplePlan, spec: SyntheticSpec) -> float:
         )
     if not spec.bursts:
         return 0.0
-    inside = sum(1 for i in plan.indices if spec.contains(i))
+    inside = sum(1 for i in plan.indices if spec.burst_amplitude(i) is not None)
     return inside / len(plan.indices)
 
 

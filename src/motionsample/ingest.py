@@ -53,14 +53,9 @@ class VideoManifest:
     frame_ids: tuple[str, ...]
 
 
-def natural_key(name: str) -> tuple:
-    """Sort key treating digit runs as numbers, so img2 < img10."""
-    return tuple(int(p) if p.isdecimal() else p for p in re.split(r"(\d+)", name))
-
-
 def _name_order(name: str) -> tuple:
-    """Natural order, ties (clip2, clip02) broken by the raw name so no listing order shows through."""
-    return natural_key(name), name
+    """Natural order, digit runs as numbers (img2 < img10); ties (clip2, clip02) go by the raw name, so no listing order shows."""
+    return tuple(int(p) if p.isdecimal() else p for p in re.split(r"(\d+)", name)), name
 
 
 # Netpbm header after the magic: width, height and maxval, each at most nine

@@ -4,11 +4,11 @@ A video is a T x H x W x C tensor. The motion signal of frame t is the
 summed absolute difference against frame t-1 (image level), or the summed
 per-pixel euclidean norm of the difference between shallow convolution
 features (feature level). Salience is then l1-normalized into a probability
-distribution over frames and optionally power-smoothed.
+distribution over frames and optionally power-smoothed (``video_distribution``).
 
 The feature level uses a fixed, training-free bank of eight 7x7 filters:
 load it from an MGKB weight file (``ingest``), build it from a seeded
-Gaussian draw, or use the identity/zero test presets.  ``conv2d_apply`` runs
+Gaussian draw, or use the identity test preset.  ``conv2d_apply`` runs
 the bank over a frame, and ``_conv2d_window`` over any window of it, as a
 float64 dgemm over shifted row bands of the zero-padded input: 7*C band rows
 instead of a 49*C-row im2col matrix.
@@ -228,12 +228,6 @@ def identity_bank(channels: int = 1) -> ConvKernelBank:
     return ConvKernelBank(k)
 
 
-def zero_bank(channels: int = 1) -> ConvKernelBank:
-    return ConvKernelBank(
-        np.zeros((KERNEL_COUNT, channels, KERNEL_SIZE, KERNEL_SIZE), dtype=np.float32)
-    )
-
-
 def random_bank(channels: int = 1, seed: int = 0) -> ConvKernelBank:
     """Deterministic Gaussian initialization, standard deviation 1/49, from a seed (default seed 0)."""
     rng = np.random.default_rng(seed)
@@ -446,6 +440,28 @@ def smooth_distribution(m: MotionDistribution, mu: float) -> MotionDistribution:
         return m
     # no uniform fallback in exact arithmetic, but tiny probabilities can underflow for large mu
     return _l1_normalize(np.power(m.probs, mu), m.degenerate_uniform)
+
+
+REPRESENTATIONS = ("image", "feature")
+
+
+def video_distribution(
+    volume: FrameVolume,
+    mu: float,
+    representation: str = "image",
+    bank: ConvKernelBank | None = None,
+) -> MotionDistribution:
+    """Image- or feature-level salience, l1-normalized and power-smoothed by mu: what every strategy draws from.
+
+    A seed-0 Gaussian bank is the feature default.
+    """
+    if representation == "image":
+        salience = image_diff_salience(volume)
+    elif representation == "feature":
+        salience = feature_diff_salience(volume, bank or random_bank(volume.channels))
+    else:
+        raise ConfigError(f"unknown representation {representation!r}, expected one of {REPRESENTATIONS}")
+    return smooth_distribution(normalize_salience(salience), mu)
 
 
 def downsample_volume(video: FrameVolume, factor: int) -> FrameVolume:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .motion import MotionDistribution
+from .motion import ConvKernelBank, FrameVolume, MotionDistribution, video_distribution
 
 CURVE_END_TOL = 1e-9
 
@@ -324,6 +324,24 @@ def sample_from_distribution(m: MotionDistribution, cfg: SamplerConfig) -> Sampl
     if cfg.strategy == "topk":
         return topk_sample(m, cfg)
     return windowed_clip_sample(m, cfg)
+
+
+def sample_video(
+    volume: FrameVolume,
+    cfg: SamplerConfig,
+    representation: str = "image",
+    bank: ConvKernelBank | None = None,
+) -> tuple[SamplePlan, CumulativeCurve, MotionDistribution]:
+    """Run the full sampling pipeline on one video.
+
+    The plan follows from the video and ``cfg`` alone: its draws come from a
+    generator seeded by ``cfg.seed``.  Returns the plan together with the
+    smoothed distribution and its curve so callers can export or inspect them
+    without recomputation; an mg plan was drawn from that very curve.
+    """
+    m = video_distribution(volume, cfg.mu, representation, bank)
+    plan = sample_from_distribution(m, cfg)
+    return plan, distribution_curve(m), m
 
 
 def _format_float(v: float) -> str:

@@ -488,6 +488,30 @@ class TestEvalCommand:
         assert captured.err == "motionsample eval: error: stride must be an integer >= 1, got 0\n"
 
 
+class TestSyntheticValues:
+    """eval and gen reject a noise, background or burst amplitude that makes no finite float32 clip."""
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("eval", ["--noise", "nan"], "noise amplitude must be >= 0 and within float32, got nan"),
+        ("eval", ["--noise", "inf"], "noise amplitude must be >= 0 and within float32, got inf"),
+        ("eval", ["--background", "inf"], "background must keep frames, noise included, within float32, got inf"),
+        ("eval", ["--burst", "2:5:nan"], "burst amplitude must be > 0 and keep frames within float32, got nan"),
+        ("gen", ["--background", "nan"], "background must keep frames, noise included, within float32, got nan"),
+        ("eval", ["--background", "1e39"], "background must keep frames, noise included, within float32, got 1e+39"),
+        ("gen", ["--background", "3e38", "--noise", "1e38"],
+         "background must keep frames, noise included, within float32, got 3e+38"),
+        ("gen", ["--burst", "2:5:3.5e38"], "burst amplitude must be > 0 and keep frames within float32, got 3.5e+38"),
+    ])
+    def test_value_outside_float32_is_usage_error(self, tmp_path, capsys, command, flags, message):
+        out = tmp_path / "out.file"
+        argv = [command, "--t-count", "10", "--height", "8", "--width", "8", *flags, "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"motionsample {command}: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestGenCommand:
     def test_writes_loadable_tensor(self, tmp_path, capsys):
         out = tmp_path / "v.mgvt"

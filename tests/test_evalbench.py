@@ -11,7 +11,6 @@ from motionsample import (
     SamplerConfig,
     StructuralError,
     SyntheticSpec,
-    block_area,
     burst_coverage,
     compare_strategies,
     generate_synthetic_video,
@@ -66,7 +65,7 @@ class TestGenerator:
     def test_single_burst_salience_support_and_mass(self):
         spec = spec_with(t=50, bursts=((10, 19, 3.0),))
         s = image_diff_salience(generate_synthetic_video(spec)).values
-        area = block_area(spec)
+        area = max(1, 32 // 8) * max(1, 32 // 8)  # the generator's contract: one block of one channel
         positive = np.nonzero(s)[0].tolist()
         assert positive == list(range(10, 20))
         np.testing.assert_array_equal(s[positive], 3.0 * area)
@@ -102,10 +101,10 @@ class TestGenerator:
         assert np.nonzero(s)[0].tolist() == list(range(3, 9))
         np.testing.assert_array_equal(s[3:9], 5.0)
 
-    def test_color_volume_mass_matches_block_area(self):
+    def test_color_transition_moves_one_block_of_one_channel(self):
         spec = SyntheticSpec(t_count=8, height=16, width=16, channels=3, bursts=((2, 5, 4.0),))
         s = image_diff_salience(generate_synthetic_video(spec)).values
-        np.testing.assert_array_equal(s[2:6], 4.0 * block_area(spec))
+        np.testing.assert_array_equal(s[2:6], 4.0 * max(1, 16 // 8) * max(1, 16 // 8))
 
 
 class TestBurstCoverage:
@@ -210,8 +209,8 @@ class TestMgBurstProperty:
             assert inside / n >= 0.9
 
 
-class TestLatencyBenchmark:
-    """Pipeline edge and scaling checks; perfbench/run.py measures latency itself."""
+class TestPipelineEdgesAndScaling:
+    """sample_video on a one-frame video, and image salience's cost against T; perfbench/run.py measures latency."""
 
     def test_single_frame_video_sanity(self):
         spec = SyntheticSpec(t_count=1, height=8, width=8, channels=1)

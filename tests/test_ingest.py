@@ -17,13 +17,12 @@ from motionsample import (
     load_kernel_bank,
     load_raw_tensor,
     mg_sample,
-    natural_key,
     save_raw_tensor,
     SamplerConfig,
     MotionDistribution,
 )
 from motionsample import ingest
-from motionsample.ingest import _parse_pnm
+from motionsample.ingest import _name_order, _parse_pnm
 from conftest import random_volume, write_pgm, write_ppm
 import oracles
 
@@ -34,24 +33,26 @@ def raw_tensor_bytes(t, h, w, c, dtype_tag, payload, version=1, magic=b"MGVT"):
 
 
 class TestNaturalSort:
+    """``_name_order``, the sort key of frame files and batch videos: natural order, then the raw name."""
+
     def test_digit_runs_sort_numerically(self):
         names = [f"f{i}" for i in range(1, 13)]
         shuffled = sorted(names)  # plain lexicographic puts f10 before f2
         assert shuffled != names
-        assert sorted(shuffled, key=natural_key) == names
+        assert sorted(shuffled, key=_name_order) == names
 
     def test_img2_before_img10(self):
-        assert sorted(["img10.pgm", "img2.pgm"], key=natural_key) == ["img2.pgm", "img10.pgm"]
+        assert sorted(["img10.pgm", "img2.pgm"], key=_name_order) == ["img2.pgm", "img10.pgm"]
 
     def test_mixed_prefixes(self):
         names = ["a2", "a10", "b1", "a1"]
-        assert sorted(names, key=natural_key) == ["a1", "a2", "a10", "b1"]
+        assert sorted(names, key=_name_order) == ["a1", "a2", "a10", "b1"]
 
     def test_non_decimal_digits_stay_text(self):
         # "²".isdigit() is True but int("²") raises; only Nd digits, the ones \d matches, are numbers
-        assert natural_key("clip1²") == ("clip", 1, "²")
-        assert natural_key("f1²3.pgm") == ("f", 1, "²", 3, ".pgm")
-        assert sorted(["f1²3.pgm", "f12.pgm", "f1.pgm"], key=natural_key) == ["f1.pgm", "f1²3.pgm", "f12.pgm"]
+        assert _name_order("clip1²") == (("clip", 1, "²"), "clip1²")
+        assert _name_order("f1²3.pgm") == (("f", 1, "²", 3, ".pgm"), "f1²3.pgm")
+        assert sorted(["f1²3.pgm", "f12.pgm", "f1.pgm"], key=_name_order) == ["f1.pgm", "f1²3.pgm", "f12.pgm"]
 
 
 class TestLoadFrameDirectory:
@@ -247,7 +248,7 @@ class TestListVideos:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_tied_names_ignore_listing_order(self, tmp_path, rng, monkeypatch, reverse):
-        # natural_key("clip2") == natural_key("clip02"): the order, and so each video's seed, must not
+        # "clip2" and "clip02" are equal in natural order: the order, and so each video's seed, must not
         # follow the file system's listing
         names = ["clip2", "clip02", "a1.mgvt", "a01.mgvt"]
         for name in names[:2]:

@@ -26,7 +26,6 @@ from motionsample import (
     load_kernel_bank,
     random_bank,
     save_kernel_bank,
-    zero_bank,
 )
 from motionsample.motion import _band_length, _conv2d_window, _window_scratch
 from conftest import weights_at_the_bound
@@ -99,7 +98,7 @@ class TestConv2d:
 
     def test_zero_kernels_give_zero_maps(self, rng):
         frame = rng.uniform(size=(4, 5, 1)).astype(np.float32)
-        out = conv2d_apply(frame, zero_bank(1))
+        out = conv2d_apply(frame, ConvKernelBank(np.zeros((8, 1, 7, 7), np.float32)))
         np.testing.assert_array_equal(out, 0.0)
 
     def test_center_weight_two_on_single_pixel(self):
@@ -237,7 +236,8 @@ def test_default_bank_sums_uint8_exactly_in_any_order(c, seed, exact):
     assert (_exact_sum_bits(bank) < 53) == bank._sums_uint8_exactly == exact
 
 
-@pytest.mark.parametrize("bank", [identity_bank(1), identity_bank(3), zero_bank(3)])
+@pytest.mark.parametrize("bank", [identity_bank(1), identity_bank(3),
+                                  ConvKernelBank(np.zeros((8, 3, 7, 7), np.float32))])
 def test_banks_with_zero_filters_meet_the_bound(bank):
     assert bank._sums_uint8_exactly
 

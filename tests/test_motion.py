@@ -23,7 +23,6 @@ from motionsample import (
     normalize_salience,
     random_bank,
     smooth_distribution,
-    zero_bank,
 )
 from conftest import random_volume, weights_at_the_bound
 from oracles import loop_image_salience, shannon_entropy
@@ -264,16 +263,13 @@ class TestFeatureDiffSalience:
 
     def test_zero_bank_gives_zero_salience(self, rng):
         v = random_volume(rng, 4)
-        s = feature_diff_salience(v, zero_bank(1))
+        s = feature_diff_salience(v, ConvKernelBank(np.zeros((8, 1, 7, 7), np.float32)))
         assert s.values.tolist() == [0.0] * 4
 
     def test_hand_example_center_weight_two(self):
         v = volume([[[5]]], [[[7]]], dtype=np.float32)
-        bank = zero_bank(1)
-        kernels = bank.kernels.copy()
+        kernels = np.zeros((8, 1, 7, 7), np.float32)
         kernels[0, 0, 3, 3] = 2.0
-        from motionsample import ConvKernelBank
-
         s = feature_diff_salience(v, ConvKernelBank(kernels))
         assert s.values.tolist() == [0.0, 4.0]
 
