@@ -16,17 +16,23 @@ salience (T = 2, 1x1x1 frames, one channel, and frames of signed zeros,
 subnormals and 1e30 beside 1e-30), and two kernel banks that miss the
 uint8 exactness bound of README's *Reproducibility notes* (``random_bank(3,
 seed=5)`` and a one-channel bank holding one weight of 1e-30), run over the
-uint8 clips of the feature convolution.  Each
-case runs ``motionsample.cli.main`` in-process and records the sha256 of its
-exit code, stdout, stderr and every file it wrote; the corpus root is
-replaced by ``ROOT`` in stdout and stderr first.  The digests live in
+uint8 clips of the feature convolution, and two integer-valued float32 clips
+written by ``generate_synthetic_video`` (no noise, integer bursts), sampled
+under ``--representation feature``, beside ``eval --representation
+feature`` on such clips for C = 1 and 3.  Each case runs
+``motionsample.cli.main`` in-process and records the sha256 of its exit
+code, stdout, stderr and every file it wrote; the corpus root is replaced
+by ``ROOT`` in stdout and stderr first.  The digests live in
 ``golden_digests.json`` beside this file.
 
-Left out on purpose: curve CSVs of float32 input under
-``--representation feature`` and ``eval --representation feature`` (whose
-synthetic video is float32).  Their float64 sums run through BLAS dgemm, so
-their last bits depend on the kernel OpenBLAS picks for the CPU; the oracle
-tolerances in the other tests cover them.
+Left out on purpose: ``--representation feature`` curve CSVs of float32
+input holding a non-integer or a value outside 0..255, and of banks that
+miss the exactness bound (beyond the wide-bank cases above).  Their float64
+sums run through BLAS dgemm and may round, so their last bits may depend on the
+kernel OpenBLAS picks for the CPU; the oracle tolerances in the other tests
+cover them.  Every case here gives the same digests under the default,
+Prescott, Haswell, SkylakeX and Sandybridge kernels
+(``OPENBLAS_CORETYPE=<X> PYTHONPATH=src python -m pytest tests/test_golden.py``).
 
 Regenerate the digests (only for a change meant to alter outputs) with
 ``PYTHONPATH=src python tests/test_golden.py``; it lists the cases added,
