@@ -204,8 +204,9 @@ def build_corpus(root: Path) -> None:
     _write_odd_ppm_dir(root / "odd-headers", _moving_u8(rng, 16, 8, 6, 3))
     for name, shape in CHUNKED.items():
         save_raw_tensor(FrameVolume(_moving_u8(rng, *shape)), root / f"{name}.mgvt")
-    for name, shape in WINDOWED.items():
-        save_raw_tensor(FrameVolume(_blocks_u8(rng, *shape)), root / f"{name}.mgvt")
+    blocks = {name: _blocks_u8(rng, *shape) for name, shape in WINDOWED.items()}
+    for name, frames in blocks.items():
+        save_raw_tensor(FrameVolume(frames), root / f"{name}.mgvt")
     for name, shape in F32_ODD.items():
         if name == "f32-extremes":
             frames = rng.choice(_EXTREMES, size=shape)
@@ -217,6 +218,8 @@ def build_corpus(root: Path) -> None:
     for name, c in SYNTH_INT.items():  # no noise and integer bursts: every value an integer in 0..255
         spec = SyntheticSpec(t_count=40, height=16, width=16, channels=c, bursts=((5, 12, 50), (25, 31, 100)))
         save_raw_tensor(generate_synthetic_video(spec), root / f"{name}.mgvt")
+    for name, frames in blocks.items():  # the textured uint8 clips above, cast: integer-valued float32, no new draw
+        save_raw_tensor(FrameVolume(frames.astype(np.float32)), root / f"{name}-f32.mgvt")
 
 
 def _cases() -> dict[str, tuple[list[str], list[str]]]:
@@ -254,10 +257,11 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
                         "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
                 cases[f"sample-{name}-{variant}-{s}"] = (argv, ["plan.json", "curve.csv"])
     for name, (_, _, c) in WINDOWED.items():
-        for s in STRATEGIES:
-            argv = ["sample", "--raw-tensor", f"ROOT/{name}.mgvt", "--strategy", s, *VARIANTS["feature"],
-                    "--weights", f"ROOT/bank{c}.mgkb", "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
-            cases[f"sample-{name}-feature-{s}"] = (argv, ["plan.json", "curve.csv"])
+        for clip in (name, f"{name}-f32"):
+            for s in STRATEGIES:
+                argv = ["sample", "--raw-tensor", f"ROOT/{clip}.mgvt", "--strategy", s, *VARIANTS["feature"],
+                        "--weights", f"ROOT/bank{c}.mgkb", "--out", "OUT/plan.json", "--emit-curve", "OUT/curve.csv"]
+                cases[f"sample-{clip}-feature-{s}"] = (argv, ["plan.json", "curve.csv"])
     for name, (flag, rel) in WIDE_BANK_INPUTS.items():
         c = 1 if name == "blocks1" else 3
         for s in STRATEGIES:
@@ -335,6 +339,13 @@ def corpus(tmp_path_factory):
 
 def test_digest_file_covers_every_case():
     assert sorted(json.loads(DIGESTS.read_text())) == sorted(CASES)
+
+
+def test_float32_block_clips_match_their_uint8_twins():
+    """A uint8 clip cast to float32 writes the same plan and curve bytes under a bank that meets the bound."""
+    digests = json.loads(DIGESTS.read_text())
+    twins = [(f"sample-{name}-f32-feature-{s}", f"sample-{name}-feature-{s}") for name in WINDOWED for s in STRATEGIES]
+    assert [digests[f32] for f32, _ in twins] == [digests[u8] for _, u8 in twins]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
