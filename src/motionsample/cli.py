@@ -4,8 +4,10 @@ Subcommands: ``sample`` (pick frames from a video on disk), ``eval``
 (synthetic strategy comparison), ``gen`` (write a synthetic video as an MGVT
 raw tensor).
 
-Exit codes: 0 success, 1 usage error, 2 input/format error.  Runs are
-byte-reproducible given --seed (or --deterministic) and identical inputs.
+Exit codes: 0 success, 1 usage error, 2 input/format error.  A ``ConfigError``
+that reaches ``main`` means the flags were wrong (exit 1); a bad input, be it
+a file, a frame or a weights file, is exit 2.  Runs are byte-reproducible
+given --seed (or --deterministic) and identical inputs.
 """
 
 from __future__ import annotations
@@ -34,13 +36,9 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 
 
-class _UsageError(Exception):
-    """A usage message; ``main`` adds ``motionsample <command>: error: `` to a handler's, argparse's has its own."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse exits 2 by default; we want 1
-        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+        raise ConfigError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
 def _add_sampler_flags(p: argparse.ArgumentParser, one_strategy: bool) -> None:
@@ -103,17 +101,14 @@ def _build_parser() -> _Parser:
 
 
 def _sampler_config(args: argparse.Namespace, **fields) -> SamplerConfig:
-    try:
-        return SamplerConfig(
-            n_frames=args.num_frames,
-            mu=args.mu,
-            stride=args.stride,
-            seed=args.seed,
-            deterministic=args.deterministic,
-            **fields,
-        )
-    except ConfigError as e:
-        raise _UsageError(str(e)) from e
+    return SamplerConfig(
+        n_frames=args.num_frames,
+        mu=args.mu,
+        stride=args.stride,
+        seed=args.seed,
+        deterministic=args.deterministic,
+        **fields,
+    )
 
 
 def _parse_bursts(args: argparse.Namespace) -> tuple[tuple[int, int, float], ...]:
@@ -123,28 +118,25 @@ def _parse_bursts(args: argparse.Namespace) -> tuple[tuple[int, int, float], ...
     for text in args.burst:
         parts = text.split(":")
         if len(parts) != 3:
-            raise _UsageError(f"--burst wants S:E:AMP, got {text!r}")
+            raise ConfigError(f"--burst wants S:E:AMP, got {text!r}")
         try:
             bursts.append((int(parts[0]), int(parts[1]), float(parts[2])))
         except ValueError as e:
-            raise _UsageError(f"bad --burst {text!r}: {e}") from e
+            raise ConfigError(f"bad --burst {text!r}: {e}") from e
     return tuple(bursts)
 
 
 def _synthetic_spec(args: argparse.Namespace) -> SyntheticSpec:
-    try:
-        return SyntheticSpec(
-            t_count=args.t_count,
-            height=args.height,
-            width=args.width,
-            channels=args.channels,
-            bursts=_parse_bursts(args),
-            background=args.background,
-            noise=args.noise,
-            seed=args.gen_seed,
-        )
-    except ConfigError as e:
-        raise _UsageError(str(e)) from e
+    return SyntheticSpec(
+        t_count=args.t_count,
+        height=args.height,
+        width=args.width,
+        channels=args.channels,
+        bursts=_parse_bursts(args),
+        background=args.background,
+        noise=args.noise,
+        seed=args.gen_seed,
+    )
 
 
 def _batch_jobs(root: Path, out_dir: Path) -> list[tuple[Path, bool, Path]]:
@@ -166,20 +158,20 @@ def _usable_cpus() -> int:
 
 def _run_sample(args: argparse.Namespace) -> int:
     if args.weights and args.representation == "image":
-        raise _UsageError("--weights needs --representation feature")
+        raise ConfigError("--weights needs --representation feature")
     if args.downsample < 1:
-        raise _UsageError("--downsample must be >= 1")
+        raise ConfigError("--downsample must be >= 1")
     cfg = _sampler_config(args, strategy=args.strategy, window_len=args.window)
     if args.batch and args.emit_curve:
-        raise _UsageError("--emit-curve is not available with --batch")
+        raise ConfigError("--emit-curve is not available with --batch")
     if args.batch and not args.out:
-        raise _UsageError("--batch requires --out DIRECTORY")
+        raise ConfigError("--batch requires --out DIRECTORY")
     if args.out and args.emit_curve and Path(args.out).resolve() == Path(args.emit_curve).resolve():
-        raise _UsageError("--out and --emit-curve name the same file")
+        raise ConfigError("--out and --emit-curve name the same file")
     root = Path(args.frames_dir or args.raw_tensor)
     for flag, target in (("--out", args.out), ("--emit-curve", args.emit_curve)):
         if target and not args.batch and video_reads(root, args.frames_dir is not None, target):
-            raise _UsageError(f"{flag} {target} names a file of the input video {root}")
+            raise ConfigError(f"{flag} {target} names a file of the input video {root}")
     # A single video is the batch of one at ordinal 0, whose seed is --seed itself.
     jobs = _batch_jobs(root, Path(args.out)) if args.batch else [(root, args.frames_dir is not None, args.out)]
     bank = load_kernel_bank(args.weights) if args.weights else None
@@ -253,12 +245,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as e:
+    except ConfigError as e:  # argparse's text carries its own usage and prefix
         print(e, file=sys.stderr)
         return EXIT_USAGE
     try:
         return _HANDLERS[args.command](args)
-    except _UsageError as e:
+    except ConfigError as e:  # flags only: load_kernel_bank wraps a weights file's, work catches a video's
         print(f"motionsample {args.command}: error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (MotionSampleError, OSError) as e:

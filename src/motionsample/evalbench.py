@@ -30,7 +30,8 @@ class SyntheticSpec:
     may not overlap.  Amplitude and background should be exactly
     representable in float32 (integers are) so the generated salience is
     exact.  ``noise`` adds per-frame uniform noise in [-noise, noise]; every
-    frame value, noise included, must lie within the float32 range.
+    frame value, noise included, must lie within the float32 range.  ``seed``
+    seeds the noise and follows ``SamplerConfig``'s rule for its seed.
     """
 
     t_count: int
@@ -47,6 +48,7 @@ class SyntheticSpec:
             raise ConfigError("t_count, height, and width must all be >= 1")
         if self.channels not in (1, 3):
             raise ConfigError(f"channels must be 1 or 3, got {self.channels}")
+        object.__setattr__(self, "seed", SamplerConfig(seed=self.seed).seed)  # an integer in [0, 2**64), or ConfigError
         if not 0 <= self.noise <= _F32_MAX:  # NaN fails every comparison, here and below
             raise ConfigError(f"noise amplitude must be >= 0 and within float32, got {self.noise!r}")
         if not abs(self.background) + self.noise <= _F32_MAX:
@@ -128,8 +130,6 @@ def burst_coverage(plan: SamplePlan, spec: SyntheticSpec) -> float:
         raise StructuralError(
             f"plan index {max(plan.indices)} outside the spec's {spec.t_count} frames"
         )
-    if not spec.bursts:
-        return 0.0
     inside = sum(1 for i in plan.indices if spec.burst_amplitude(i) is not None)
     return inside / len(plan.indices)
 

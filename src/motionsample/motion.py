@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, StructuralError
 
-DISTRIBUTION_SUM_TOL = 1e-9
+DISTRIBUTION_SUM_TOL = 1e-9  # a distribution, and so a curve's F_T, sums to 1 within this
 KERNEL_COUNT = 8
 KERNEL_SIZE = 7
 KERNEL_PADDING = 3

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .motion import ConvKernelBank, FrameVolume, MotionDistribution, video_distribution
-
-CURVE_END_TOL = 1e-9
+from .motion import DISTRIBUTION_SUM_TOL, ConvKernelBank, FrameVolume, MotionDistribution, video_distribution
 
 STRATEGIES = ("mg", "segment", "stride", "topk", "mg-clip")
 
@@ -55,7 +53,7 @@ class CumulativeCurve:
             raise StructuralError("curve values must be finite")
         if f[0] != 0.0:
             raise StructuralError(f"F_0 must be 0, got {f[0]!r}")
-        if abs(f[-1] - 1.0) > CURVE_END_TOL:
+        if abs(f[-1] - 1.0) > DISTRIBUTION_SUM_TOL:
             raise StructuralError(f"F_T must be 1 within 1e-9, got {f[-1]!r}")
         if (f[1:] < f[:-1]).any():
             raise StructuralError("curve must be non-decreasing")
@@ -150,7 +148,7 @@ def _anchors(probs: np.ndarray) -> np.ndarray:
     f = np.empty(probs.size + 1, dtype=np.float64)
     f[0] = 0.0
     np.cumsum(probs, out=f[1:])
-    if abs(f[-1] - 1.0) > CURVE_END_TOL:
+    if abs(f[-1] - 1.0) > DISTRIBUTION_SUM_TOL:
         raise StructuralError(f"distribution sums to {f[-1]!r}, cannot build curve")
     return _pin_end(f)
 

@@ -487,9 +487,19 @@ class TestEvalCommand:
         assert captured.out == ""
         assert captured.err == "motionsample eval: error: stride must be an integer >= 1, got 0\n"
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_sampler_setting_the_clip_cannot_meet_is_usage_error(self, tmp_path, capsys, to_file):
+        # the default --num-frames 8 asks topk for more frames than the 4 that --t-count makes
+        out = ["--out", str(tmp_path / "report.json")] if to_file else []
+        assert main(["eval", "--t-count", "4", "--height", "8", "--width", "8", *out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "motionsample eval: error: topk needs n_frames <= t_count, got 8 > 4\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSyntheticValues:
-    """eval and gen reject a noise, background or burst amplitude that makes no finite float32 clip."""
+    """eval and gen reject a noise, background or burst amplitude that makes no finite float32 clip, and a bad seed."""
 
     @pytest.mark.parametrize("command, flags, message", [
         ("eval", ["--noise", "nan"], "noise amplitude must be >= 0 and within float32, got nan"),
@@ -501,6 +511,9 @@ class TestSyntheticValues:
         ("gen", ["--background", "3e38", "--noise", "1e38"],
          "background must keep frames, noise included, within float32, got 3e+38"),
         ("gen", ["--burst", "2:5:3.5e38"], "burst amplitude must be > 0 and keep frames within float32, got 3.5e+38"),
+        ("gen", ["--noise", "1", "--gen-seed", "-1"], "seed must fit in 64 unsigned bits, got -1"),
+        ("gen", ["--gen-seed", "-1"], "seed must fit in 64 unsigned bits, got -1"),
+        ("eval", ["--noise", "1", "--gen-seed", str(2**64)], f"seed must fit in 64 unsigned bits, got {2**64}"),
     ])
     def test_value_outside_float32_is_usage_error(self, tmp_path, capsys, command, flags, message):
         out = tmp_path / "out.file"

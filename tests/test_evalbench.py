@@ -51,6 +51,7 @@ class TestSyntheticSpec:
         ("height", 0, "must all be >= 1"),
         ("channels", 2, "channels must be 1 or 3, got 2"),
         ("noise", -0.5, "noise amplitude must be >= 0"),
+        ("seed", 1.5, r"^seed must be an integer, got 1\.5$"),
     ])
     def test_bad_field_rejected(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
