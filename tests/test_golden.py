@@ -19,7 +19,9 @@ seed=5)`` and a one-channel bank holding one weight of 1e-30), run over the
 uint8 clips of the feature convolution, and two integer-valued float32 clips
 written by ``generate_synthetic_video`` (no noise, integer bursts), sampled
 under ``--representation feature``, beside ``eval --representation
-feature`` on such clips for C = 1 and 3.  Each case runs
+feature`` on such clips for C = 1 and 3, and the three block clips cast to
+float32 (textured integer-valued float32 input), whose digests must equal
+their uint8 twins'.  Each case runs
 ``motionsample.cli.main`` in-process and records the sha256 of its exit
 code, stdout, stderr and every file it wrote; the corpus root is replaced
 by ``ROOT`` in stdout and stderr first.  The digests live in
