@@ -6,8 +6,9 @@ raw tensor).
 
 Exit codes: 0 success, 1 usage error, 2 input/format error.  A ``ConfigError``
 that reaches ``main`` means the flags were wrong (exit 1); a bad input, be it
-a file, a frame or a weights file, is exit 2.  Runs are byte-reproducible
-given --seed (or --deterministic) and identical inputs.
+a file, a frame, a weights file or a video too large to allocate, is exit 2.
+Runs are byte-reproducible given --seed (or --deterministic) and identical
+inputs.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def _run_sample(args: argparse.Namespace) -> int:
                 return None
             if args.emit_curve is not None:
                 write_atomic(args.emit_curve, curve_to_csv(curve))
-        except (MotionSampleError, OSError) as e:
+        except (MotionSampleError, OSError, MemoryError) as e:
             return str(e) if str(e).startswith(str(path)) else f"{path}: {e}"
         sys.stdout.write(plan_to_json(plan))
         return None
@@ -253,7 +254,7 @@ def main(argv=None) -> int:
     except ConfigError as e:  # flags only: load_kernel_bank wraps a weights file's, work catches a video's
         print(f"motionsample {args.command}: error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (MotionSampleError, OSError) as e:
+    except (MotionSampleError, OSError, MemoryError) as e:  # an input too large to allocate is an input error
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -29,9 +29,11 @@ class SyntheticSpec:
     Bursts are zero-based inclusive (start, end, amplitude) frame ranges and
     may not overlap.  Amplitude and background should be exactly
     representable in float32 (integers are) so the generated salience is
-    exact.  ``noise`` adds per-frame uniform noise in [-noise, noise]; every
-    frame value, noise included, must lie within the float32 range.  ``seed``
-    seeds the noise and follows ``SamplerConfig``'s rule for its seed.
+    exact; an amplitude that float32 rounds away beside the background
+    plants no motion, and is rejected.  ``noise`` adds per-frame uniform
+    noise in [-noise, noise]; every frame value, noise included, must lie
+    within the float32 range.  ``seed`` seeds the noise and follows
+    ``SamplerConfig``'s rule for its seed.
     """
 
     t_count: int
@@ -59,6 +61,8 @@ class SyntheticSpec:
                 raise ConfigError(f"burst ({s}, {e}) outside frames [0, {self.t_count - 1}]")
             if not (a > 0 and abs(self.background + a) + self.noise <= _F32_MAX):
                 raise ConfigError(f"burst amplitude must be > 0 and keep frames within float32, got {a!r}")
+            if np.float32(self.background + a) == np.float32(self.background):
+                raise ConfigError(f"burst amplitude {a!r} is lost in float32 beside background {self.background!r}")
         for (s1, e1, _), (s2, e2, _) in zip(sorted(bursts), sorted(bursts)[1:]):
             if s2 <= e1:
                 raise ConfigError(f"bursts ({s1},{e1}) and ({s2},{e2}) overlap")
@@ -139,7 +143,7 @@ def salience_mass_in_bursts(m: MotionDistribution, spec: SyntheticSpec) -> float
         raise StructuralError(
             f"distribution covers {m.t_count} frames, spec has {spec.t_count}"
         )
-    total = sum(float(m.probs[s : e + 1].sum()) for s, e, _ in spec.bursts)
+    total = sum((float(m.probs[s : e + 1].sum()) for s, e, _ in spec.bursts), 0.0)
     return min(1.0, total)  # a subset of probs can exceed 1 by rounding noise
 
 

@@ -28,7 +28,7 @@ KERNEL_COUNT = 8
 KERNEL_SIZE = 7
 KERNEL_PADDING = 3
 _RANDOM_STDDEV = 1.0 / 49.0
-_CHUNK_BYTES = 128 * 1024  # uint8 image salience: size cap of each of its two difference buffers
+_CHUNK_BYTES = 256 * 1024  # uint8 image salience: size cap of each of its two difference buffers (fewer chunks, fewer calls)
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -146,11 +146,13 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
     """Summed absolute pixel difference between consecutive frames.
 
     Channels count as extra spatial extent: for C=3 the absolute differences
-    of all three channels are summed.  uint8 scores are exact integers,
+    of all three channels are summed.  uint8 frames are differenced over
+    chunks of frame pairs and summed in uint16 groups of at most 256
+    values, then in uint32 or uint64, so the scores are exact integers,
     whatever the chunking; float32 frames are widened once into two reused
     float64 buffers, differenced over frame t-1's and summed there.  Scratch
     memory does not grow with T.  README, *Reproducibility notes*, states
-    the chunking, accumulator and float32 rules.
+    the chunking, grouping, accumulator and float32 rules.
     """
     frames = video.frames
     t_count = video.t_count
@@ -161,13 +163,18 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
         k = max(1, min(t_count - 1, _CHUNK_BYTES // n))
         hi, lo = np.empty((k, n), dtype=np.uint8), np.empty((k, n), dtype=np.uint8)
         acc = np.uint32 if 255 * n < 2**32 else np.uint64
+        g = min(n, 256)  # a group of 256 differences sums to at most 65280: exact in uint16
+        full = n - n % g
         for s in range(1, t_count, k):
             e = min(s + k, t_count)
             hk, lk = hi[: e - s], lo[: e - s]
             np.maximum(flat[s:e], flat[s - 1 : e - 1], out=hk)
             np.minimum(flat[s:e], flat[s - 1 : e - 1], out=lk)
             np.subtract(hk, lk, out=hk)
-            out[s:e] = hk.sum(axis=1, dtype=acc)
+            sums = hk[:, :full].reshape(e - s, -1, g).sum(axis=2, dtype=np.uint16).sum(axis=1, dtype=acc)
+            if full < n:  # the last n % g columns, fewer than a group
+                sums += hk[:, full:].sum(axis=1, dtype=np.uint16)
+            out[s:e] = sums
     else:
         n = frames[0].size
         step = -(-n // 8) * 8  # whole 64-byte lines per frame, so both buffers start on one

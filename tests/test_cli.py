@@ -463,6 +463,12 @@ class TestEvalCommand:
         assert obj["coverage"]["segment"] == 0.25
         assert obj["salience_mass_in_bursts"] == 1.0
 
+    def test_report_without_bursts_writes_a_float_mass(self, capsys):
+        assert main(["eval", "--t-count", "1", "--height", "8", "--width", "8", "--num-frames", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith(',"salience_mass_in_bursts":0.0}\n')
+        assert json.loads(out)["salience_mass_in_bursts"] == 0.0
+
     def test_report_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["eval", "--t-count", "50", "--burst", "10:19:2.0",
@@ -499,7 +505,8 @@ class TestEvalCommand:
 
 
 class TestSyntheticValues:
-    """eval and gen reject a noise, background or burst amplitude that makes no finite float32 clip, and a bad seed."""
+    """eval and gen reject a noise, background or burst amplitude that makes no finite float32 clip,
+    a burst amplitude that float32 rounds away, and a bad seed."""
 
     @pytest.mark.parametrize("command, flags, message", [
         ("eval", ["--noise", "nan"], "noise amplitude must be >= 0 and within float32, got nan"),
@@ -514,6 +521,8 @@ class TestSyntheticValues:
         ("gen", ["--noise", "1", "--gen-seed", "-1"], "seed must fit in 64 unsigned bits, got -1"),
         ("gen", ["--gen-seed", "-1"], "seed must fit in 64 unsigned bits, got -1"),
         ("eval", ["--noise", "1", "--gen-seed", str(2**64)], f"seed must fit in 64 unsigned bits, got {2**64}"),
+        ("eval", ["--burst", "0:0:1e-45"], "burst amplitude 1e-45 is lost in float32 beside background 128.0"),
+        ("gen", ["--burst", "0:0:1e-45"], "burst amplitude 1e-45 is lost in float32 beside background 128.0"),
     ])
     def test_value_outside_float32_is_usage_error(self, tmp_path, capsys, command, flags, message):
         out = tmp_path / "out.file"
@@ -523,6 +532,47 @@ class TestSyntheticValues:
         assert captured.out == ""
         assert captured.err == f"motionsample {command}: error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestMemoryError:
+    """A video too large to allocate is an input error (exit 2), never a traceback; in a batch it fails alone."""
+
+    @staticmethod
+    def _no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 37.3 GiB for an array with shape (2, 100000, 100000, 1)")
+
+    @pytest.mark.parametrize("command", ["eval", "gen"])
+    def test_synthetic_video_too_large_to_allocate(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "generate_synthetic_video", self._no_memory)
+        out = tmp_path / "out.file"
+        assert main([command, "--t-count", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: Unable to allocate 37.3 GiB for an array with shape (2, 100000, 100000, 1)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_batch_video_too_large_to_allocate_fails_alone(self, tmp_path, capsys, monkeypatch):
+        root = tmp_path / "videos"
+        root.mkdir()
+        for i in (1, 2, 3):
+            make_frames_dir(root, f"clip{i}", seed=i)
+        real_load = cli.load_video
+
+        def load_video(path, frames_dir):
+            return (self._no_memory if path.name == "clip2" else real_load)(path, frames_dir)
+
+        monkeypatch.setattr(cli, "load_video", load_video)
+        out = tmp_path / "plans"
+        assert main(["sample", "--frames-dir", str(root), "--batch", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        good = [out / "clip1.plan.json", out / "clip3.plan.json"]
+        assert captured.out == "".join(f"{p}\n" for p in good)
+        assert sorted(out.iterdir()) == good
+        assert captured.err == (
+            f"error: {root / 'clip2'}: Unable to allocate 37.3 GiB for an array with shape (2, 100000, 100000, 1)\n"
+        )
 
 
 class TestGenCommand:

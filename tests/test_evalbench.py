@@ -46,6 +46,13 @@ class TestSyntheticSpec:
         with pytest.raises(ConfigError):
             spec_with(bursts=((9, 3, 1.0),))
 
+    def test_amplitude_that_float32_rounds_away_rejected(self):
+        # the float32 ulp of 128 is 2**-16: 128 + 2**-17 rounds to even, back to 128
+        assert spec_with(bursts=((1, 2, 2.0**-16),)).bursts == ((1, 2, 2.0**-16),)
+        for a in (2.0**-17, 1e-45):
+            with pytest.raises(ConfigError, match=f"^burst amplitude {a!r} is lost in float32 beside background 128.0$"):
+                spec_with(bursts=((1, 2, a),))
+
     @pytest.mark.parametrize("field, value, message", [
         ("t_count", 0, "must all be >= 1"),
         ("height", 0, "must all be >= 1"),

@@ -27,7 +27,7 @@ from motionsample import (
     random_bank,
     save_kernel_bank,
 )
-from motionsample.motion import _band_length, _conv2d_window, _window_scratch
+from motionsample.motion import _CHUNK_BYTES, _band_length, _conv2d_window, _window_scratch
 from conftest import weights_at_the_bound
 from oracles import loop_conv2d, tensordot_conv2d
 import motionsample
@@ -351,7 +351,7 @@ def test_uint8_image_salience_scratch_does_not_grow_with_t(rng):
 
     short, long = peak_of(20), peak_of(400)
     assert long - short <= 8 * (400 - 20) + 8 * 1024  # the float64 score vector, plus slack
-    assert long < 2 * 128 * 1024 + 2 * frame_bytes  # two difference buffers at the chunk cap
+    assert long < 2 * _CHUNK_BYTES + 2 * frame_bytes  # two difference buffers at the chunk cap
 
 
 def test_float32_image_salience_scratch_does_not_grow_with_t(rng):

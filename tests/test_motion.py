@@ -168,13 +168,15 @@ class TestUint8Accumulator:
         assert s[1] == float(int64_diff_sum(frames[1], frames[0]))
 
 
-def _chunk_pairs(h, w, c) -> int:
-    """Frame pairs per uint8 salience chunk for a long enough clip of h x w x c frames."""
-    return max(1, motion._CHUNK_BYTES // (h * w * c))
+def _chunk_pairs(n: int, t: int | None = None) -> int:
+    """Frame pairs per uint8 salience chunk for a clip of t frames of n values each (t=None: a long clip)."""
+    k = motion._CHUNK_BYTES // n
+    return max(1, k if t is None else min(t - 1, k))
 
 
 class TestUint8Chunks:
-    """uint8 salience runs over chunks of frame pairs; scores at every chunk boundary match the oracle."""
+    """uint8 salience runs over chunks of frame pairs and sums each row in uint16 groups of 256 values;
+    scores at every chunk and group boundary match the oracle."""
 
     @staticmethod
     def _assert_bitwise_equal_to_oracle(rng, t, h, w, c):
@@ -188,22 +190,55 @@ class TestUint8Chunks:
 
     @pytest.mark.parametrize("h, w, c", [(96, 96, 3), (160, 160, 1)])
     def test_clip_lengths_around_the_chunk_size(self, rng, h, w, c):
-        k = _chunk_pairs(h, w, c)
+        k = _chunk_pairs(h * w * c)
         assert k > 1
         for t in (1, 2, k, k + 1, k + 2, 2 * k + 1):
             self._assert_bitwise_equal_to_oracle(rng, t, h, w, c)
 
     @pytest.mark.parametrize("h, w, c", [(300, 300, 3), (520, 520, 1)])
     def test_frames_past_the_budget_go_one_pair_at_a_time(self, rng, h, w, c):
-        assert _chunk_pairs(h, w, c) == 1
+        assert _chunk_pairs(h * w * c) == 1
         for t in (1, 2, 5):
             self._assert_bitwise_equal_to_oracle(rng, t, h, w, c)
 
     @pytest.mark.parametrize("c", [1, 3])
     def test_tiny_frames_fit_the_clip_in_one_chunk(self, rng, c):
-        assert _chunk_pairs(4, 5, c) > 300
+        assert _chunk_pairs(4 * 5 * c) > 300
         for t in (3, 31, 300):
+            assert _chunk_pairs(4 * 5 * c, t) == t - 1
             self._assert_bitwise_equal_to_oracle(rng, t, 4, 5, c)
+
+    # n = H*W*C = 255, 256, 257, 511, 512, 513: below, at and past one and two whole groups
+    @pytest.mark.parametrize("h, w, c", [(5, 17, 3), (16, 16, 1), (1, 257, 1), (7, 73, 1), (8, 64, 1), (9, 19, 3)])
+    def test_row_lengths_around_the_group_size(self, rng, h, w, c):
+        k = _chunk_pairs(h * w * c)
+        for t in (k - 1, k, k + 1, 2 * k + 1):
+            self._assert_bitwise_equal_to_oracle(rng, t, h, w, c)
+
+    def test_one_value_frames(self, rng):
+        # n = 1: groups of one value, 2**18 pairs a chunk; the oracle loop takes
+        # seconds at this length, so it runs on the frames around each chunk
+        # boundary and the clip's last frame, and an int64 sum covers the rest
+        k = _chunk_pairs(1)
+        for t in (k - 1, k, k + 1, 2 * k + 1):
+            frames = rng.integers(0, 256, size=(t, 1, 1, 1), dtype=np.uint8)
+            s = image_diff_salience(FrameVolume(frames)).values
+            exact = np.abs(np.diff(frames.reshape(t).astype(np.int64)))
+            assert s[0] == 0.0 and s[1:].tolist() == exact.astype(np.float64).tolist()
+            for b in [*range(1, t, _chunk_pairs(1, t)), t]:
+                lo, hi = max(1, b - 2), min(t, b + 2)
+                assert s[lo:hi].tobytes() == loop_image_salience(frames[lo - 1 : hi])[1:].tobytes()
+
+    @pytest.mark.parametrize("h, w, c", [(16, 16, 1), (1, 257, 1), (7, 73, 1), (8, 64, 1), (9, 19, 3), (64, 64, 3)])
+    def test_alternating_black_and_white_frames_fill_every_group(self, h, w, c):
+        # every difference is 255, so each whole group of 256 sums to 65280, the most a group can hold
+        n = h * w * c
+        t = 2 * _chunk_pairs(n) + 1
+        frames = np.zeros((t, h, w, c), dtype=np.uint8)
+        frames[1::2] = 255
+        s = image_diff_salience(FrameVolume(frames)).values
+        assert s.tolist() == [0.0] + [255.0 * n] * (t - 1)
+        assert s.tobytes() == loop_image_salience(frames).tobytes()
 
 
 # float32 pixels whose float64 differences are exact, round (1e30 beside 1e-30),
