@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, StructuralError
 from .motion import FrameVolume, MotionDistribution, video_distribution
-from .sampling import SamplePlan, SamplerConfig, make_rng, sample_from_distribution
+from .sampling import SamplePlan, SamplerConfig, make_rng, sample_from_distribution, store_integers
 
 COMPARED_STRATEGIES = ("mg", "segment", "stride", "topk")
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -32,8 +32,9 @@ class SyntheticSpec:
     exact; an amplitude that float32 rounds away beside the background
     plants no motion, and is rejected.  ``noise`` adds per-frame uniform
     noise in [-noise, noise]; every frame value, noise included, must lie
-    within the float32 range.  ``seed`` seeds the noise and follows
-    ``SamplerConfig``'s rule for its seed.
+    within the float32 range.  ``t_count``, ``height``, ``width`` and
+    ``channels`` follow ``SamplerConfig``'s rule for its integer fields, and
+    ``seed``, which seeds the noise, its rule for its seed.
     """
 
     t_count: int
@@ -46,6 +47,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        store_integers(self, ("t_count", "height", "width", "channels"))
         if self.t_count < 1 or self.height < 1 or self.width < 1:
             raise ConfigError("t_count, height, and width must all be >= 1")
         if self.channels not in (1, 3):

@@ -9,9 +9,9 @@ distribution over frames and optionally power-smoothed (``video_distribution``).
 The feature level uses a fixed, training-free bank of eight 7x7 filters:
 load it from an MGKB weight file (``ingest``), build it from a seeded
 Gaussian draw, or use the identity test preset.  ``conv2d_apply`` runs
-the bank over a frame, and ``_conv2d_window`` over any window of it, as a
-float64 dgemm over shifted row bands of the zero-padded input: 7*C band rows
-instead of a 49*C-row im2col matrix.
+the bank over a frame, and ``_conv2d_window`` over any window of it, as one
+float64 dgemm per horizontal tap over shifted row bands of the zero-padded
+input: 7*C band rows instead of a 49*C-row im2col matrix.
 """
 
 from __future__ import annotations
@@ -215,8 +215,8 @@ class ConvKernelBank:
 
     @cached_property
     def _taps(self) -> np.ndarray:
-        """Read-only float64 (7*8, 7*C) weights of ``_conv2d_window``: rows (dx, k), columns (c, dy)."""
-        taps = self.kernels.astype(np.float64).transpose(3, 0, 1, 2).reshape(KERNEL_SIZE * KERNEL_COUNT, -1)
+        """Read-only float64 (7, 8, 7*C) weights of ``_conv2d_window``: for each tap dx, rows k, columns (c, dy)."""
+        taps = self.kernels.astype(np.float64).transpose(3, 0, 1, 2).reshape(KERNEL_SIZE, KERNEL_COUNT, -1)
         return _frozen_array(taps)
 
     @cached_property
@@ -245,6 +245,7 @@ def random_bank(channels: int = 1, seed: int = 0) -> ConvKernelBank:
 # Every dgemm multiplies whole 64-column blocks, so no column that reaches the
 # output is left to a BLAS edge kernel, which may sum in another order.
 _COLUMN_BLOCK = 64
+_TAP_COLUMNS = 4096  # column block of the per-tap products: a wider band runs in blocks, each (8, 4096 + 64) product in cache
 
 
 def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
@@ -280,16 +281,19 @@ def _band_length(h: int, wp: int) -> int:
 
 
 def _window_scratch(h: int, w: int, c: int) -> tuple[np.ndarray, ...]:
-    """Flat buffers for ``_conv2d_window`` on (H, W, C) frames: padded input, bands, band product, output.
+    """Flat buffers for ``_conv2d_window`` on (H, W, C) frames: padded input, bands, tap products, output.
 
     They are sized for the whole frame, so one set serves every window of a
-    clip.  Each call refills the bands and the band product, so they are free
+    clip.  Each call refills the bands and the tap products, so they are free
     between calls; the output buffer holds the last window's output block.
+    The tap-product buffer holds two (8, m) slabs, m the widest product, and
+    at least (8, H, W) values.
     """
     wp = w + 2 * KERNEL_PADDING
     n = _band_length(h, wp)
+    m = min(n, _TAP_COLUMNS + _COLUMN_BLOCK)
     return (_aligned_empty(c * (KERNEL_SIZE * wp + n)), _aligned_empty(c * KERNEL_SIZE * n),
-            _aligned_empty(KERNEL_SIZE * KERNEL_COUNT * n), _aligned_empty(KERNEL_COUNT * n))
+            _aligned_empty(KERNEL_COUNT * max(2 * m, h * w)), _aligned_empty(KERNEL_COUNT * n))
 
 
 def _conv2d_window(
@@ -300,7 +304,7 @@ def _conv2d_window(
 
     The window is a view into ``scratch`` (from ``_window_scratch`` for the
     frame's shape), valid until the next call that uses the same buffers.
-    Accumulation runs in float64, as one band product over shifted bands.
+    Accumulation runs in float64, as one band product per horizontal tap.
     The window's input, rows y0-3:y1+3 and columns x0-3:x1+3, is read from
     the frame (given a uint8 ``prev``, from frame - prev: the window then
     convolves the difference) into a planar (C, R, Wp) array, Wp = (x1-x0)+6,
@@ -309,20 +313,24 @@ def _conv2d_window(
     Band (c, dy) is plane c read flat from offset dy*Wp, n values long, n =
     h*Wp+6 rounded up to a multiple of 64, h = y1-y0; so its entry
     y*Wp + x + dx is input pixel (c, y+dy, x+dx): the 7 horizontal taps of a
-    row are one band read at offsets 0..6.  The kernels as a (7*8, 7*C)
-    matrix, rows (dx, k) and columns (c, dy), times the (7*C, n) bands give
-    Y (7, 8, n) in one dgemm.  Output (k, y, x) is Y[0, k, y*Wp + x] + ... +
-    Y[6, k, y*Wp + x + 6], added in that order, each add once over a dx slab
-    read flat; the returned view leaves out the columns past h*Wp, which mix
-    in the next filter's row, and the 6 pad columns of each row.  Each value
-    has the whole frame's bits (README, *Reproducibility notes*).
+    row are one band read at offsets 0..6.  Tap dx's kernels as an (8, 7*C)
+    matrix, columns (c, dy), times the (7*C, n) bands give Y_dx (8, n), one
+    dgemm per dx.  Output (k, y, x) is Y_0[k, y*Wp + x] + ... +
+    Y_6[k, y*Wp + x + 6], added in that order, each add once over Y_dx read
+    flat while it is still in cache; the returned view leaves out the
+    columns past h*Wp, which mix in the next filter's row, and the 6 pad
+    columns of each row.  Bands wider than ``_TAP_COLUMNS`` + 64 columns
+    run in column blocks: each block's products reach 64 columns into the
+    next block, so every add it keeps reads its own product, and its first
+    ``_TAP_COLUMNS`` columns are copied into the output.  Each value has the
+    whole frame's bits (README, *Reproducibility notes*).
     """
     h, w, c = frame.shape
     pad, size = KERNEL_PADDING, KERNEL_SIZE
     wp = x1 - x0 + 2 * pad
     n = _band_length(y1 - y0, wp)
     rows = size - 1 + -(-n // wp)
-    flat_padded, flat_bands, flat_partial, flat_out = scratch
+    flat_padded, flat_bands, flat_products, flat_out = scratch
     padded = flat_padded[: c * rows * wp].reshape(c, rows, wp)
     padded[...] = 0.0
     iy0, iy1, ix0, ix1 = max(y0 - pad, 0), min(y1 + pad, h), max(x0 - pad, 0), min(x1 + pad, w)
@@ -333,14 +341,20 @@ def _conv2d_window(
     bands = flat_bands[: c * size * n].reshape(c, size, n)  # band (c, dy): padded's strides, n values long
     np.copyto(bands, np.ndarray((c, size, n), buffer=flat_padded, strides=padded.strides))
     bands = bands.reshape(c * size, n)  # rows (c, dy)
-    partial = flat_partial[: size * KERNEL_COUNT * n].reshape(size * KERNEL_COUNT, n)
-    np.matmul(bank._taps, bands, out=partial)
-    partial = partial.reshape(size, KERNEL_COUNT * n)  # Y, each dx slab flat over (k, column)
-    out = flat_out[: KERNEL_COUNT * n - size + 1]  # so no read passes the end of its slab
-    np.add(partial[0, : out.size], partial[1, 1 : 1 + out.size], out=out)
-    for dx in range(2, size):
-        out += partial[dx, dx : dx + out.size]
-    block = flat_out[: KERNEL_COUNT * n].reshape(KERNEL_COUNT, n)
+    taps, block = bank._taps, flat_out[: KERNEL_COUNT * n].reshape(KERNEL_COUNT, n)
+    for j in range(0, max(n - _COLUMN_BLOCK, 1), _TAP_COLUMNS):
+        m = min(n - j, _TAP_COLUMNS + _COLUMN_BLOCK)  # the last block runs to the band's end
+        product = flat_products[: KERNEL_COUNT * m].reshape(KERNEL_COUNT, m)
+        acc = block if m == n else flat_products[KERNEL_COUNT * m : 2 * KERNEL_COUNT * m].reshape(KERNEL_COUNT, m)
+        cols = bands[:, j : j + m]
+        np.matmul(taps[0], cols, out=acc)
+        sums = acc.reshape(-1)[: KERNEL_COUNT * m - size + 1]  # so no read passes the end of its product
+        for dx in range(1, size):
+            np.matmul(taps[dx], cols, out=product)
+            sums += product.reshape(-1)[dx : dx + sums.size]
+        if acc is not block:
+            kept = m if j + m == n else _TAP_COLUMNS
+            block[:, j : j + kept] = acc[:, :kept]
     return block[:, : (y1 - y0) * wp].reshape(KERNEL_COUNT, y1 - y0, wp)[:, :, : x1 - x0]
 
 

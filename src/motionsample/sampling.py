@@ -60,6 +60,16 @@ class CumulativeCurve:
         object.__setattr__(self, "values", _pin_end(f))
 
 
+def store_integers(obj, names: tuple[str, ...]) -> None:
+    """Store each named field of a frozen dataclass as ``operator.index`` of it; anything else is a ConfigError naming it."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            object.__setattr__(obj, name, operator.index(value))
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Parameters for one sampling run.
@@ -69,7 +79,8 @@ class SamplerConfig:
     The integer fields take anything ``operator.index`` accepts (numpy
     integers too) and are stored as Python ``int``; floats are rejected.
     ``mu`` takes any real number (numpy floats too) and is stored as a
-    Python ``float``.
+    Python ``float``; ``deterministic`` takes a bool (numpy bools too) and is
+    stored as a Python ``bool``.
     Strategy-specific fields are range-checked only for the strategy they
     apply to.
     """
@@ -85,17 +96,15 @@ class SamplerConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
-        for name in ("n_frames", "stride", "window_len", "seed"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        store_integers(self, ("n_frames", "stride", "window_len", "seed"))
         if self.n_frames < 1:
             raise ConfigError(f"n_frames must be an integer >= 1, got {self.n_frames!r}")
         if not isinstance(self.mu, numbers.Real):
             raise ConfigError(f"mu must be a real number, got {self.mu!r}")
         object.__setattr__(self, "mu", float(self.mu))
+        if not isinstance(self.deterministic, (bool, np.bool_)):
+            raise ConfigError(f"deterministic must be a bool, got {self.deterministic!r}")
+        object.__setattr__(self, "deterministic", bool(self.deterministic))
         if not math.isfinite(self.mu) or self.mu < 0:
             raise ConfigError(f"mu must be >= 0, got {self.mu!r}")
         if not (0 <= self.seed < 2**64):

@@ -64,6 +64,19 @@ class TestSyntheticSpec:
         with pytest.raises(ConfigError, match=message):
             SyntheticSpec(**{"t_count": 10, field: value})
 
+    @pytest.mark.parametrize("field, value", [("t_count", 2.5), ("t_count", 10.0), ("height", 8.0),
+                                              ("width", "8"), ("channels", 3.0)])
+    def test_non_integral_size_field_names_itself(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+            SyntheticSpec(**{"t_count": 10, field: value})
+
+    @pytest.mark.parametrize("field, value", [("t_count", np.int64(6)), ("height", np.uint8(8)),
+                                              ("width", np.int32(4)), ("channels", np.int16(3))])
+    def test_numpy_integer_size_fields_stored_as_int(self, field, value):
+        spec = SyntheticSpec(**{"t_count": 6, "height": 4, "width": 4, field: value})
+        assert type(getattr(spec, field)) is int and getattr(spec, field) == value
+        assert generate_synthetic_video(spec).frames.shape == (spec.t_count, spec.height, spec.width, spec.channels)
+
 
 class TestGenerator:
     def test_static_video_has_zero_salience(self):

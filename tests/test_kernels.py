@@ -27,7 +27,7 @@ from motionsample import (
     random_bank,
     save_kernel_bank,
 )
-from motionsample.motion import _CHUNK_BYTES, _band_length, _conv2d_window, _window_scratch
+from motionsample.motion import _CHUNK_BYTES, _TAP_COLUMNS, _band_length, _conv2d_window, _window_scratch
 from conftest import weights_at_the_bound
 from oracles import loop_conv2d, tensordot_conv2d
 import motionsample
@@ -156,19 +156,32 @@ class TestConv2dAgainstTensordot:
 
 
 def _band_columns(h: int, w: int) -> int:
-    """Columns of an (h, w) window's band product: h*(w+6)+6, rounded up to 64."""
+    """Columns of an (h, w) window's bands: h*(w+6)+6, rounded up to 64."""
     return -(-(h * (w + 6) + 6) // 64) * 64
 
 
-# (h, w, c, threaded): band products just below and above OpenBLAS's
-# one-thread limit (10**6 multiply-adds), and threaded ones of about 2.7e6-2.8e6
+def test_reference_shapes_span_several_column_blocks():
+    # a block whose products reach fewer than the 6 columns the dx adds read
+    # past it changes outputs only where the bands run in more than one block
+    wide = [hw for hw in _REFERENCE_SHAPES if _band_columns(*hw) > _TAP_COLUMNS + 64]
+    assert wide == [(64, 64), (112, 112), (97, 131)]
+    assert [len(range(0, _band_columns(*hw) - 64, _TAP_COLUMNS)) for hw in wide] == [2, 4, 4]  # blocks
+
+
+# (h, w, c, stacked_threaded): shapes whose one stacked (7*8, 7*C) band product
+# sat just below and above OpenBLAS's one-thread limit (10**6 multiply-adds),
+# and ones whose stacked product took about 2.7e6-2.8e6. A per-tap product is
+# (8, 7*C) times at most _TAP_COLUMNS + 64 band columns, at most 8*21*4160 =
+# 0.70e6 multiply-adds at C = 3: every one now stays below the limit
 _THREADING_EDGES = [(25, 26, 3, False), (27, 26, 3, True), (71, 26, 3, True), (73, 26, 3, True),
                     (77, 26, 1, False), (79, 26, 1, True), (217, 26, 1, True), (219, 26, 1, True)]
 
 
-@pytest.mark.parametrize("h, w, c, threaded", _THREADING_EDGES)
-def test_uint8_bitwise_on_each_side_of_the_dgemm_threading_limit(rng, h, w, c, threaded):
-    assert (56 * 7 * c * _band_columns(h, w) > 10**6) == threaded
+@pytest.mark.parametrize("h, w, c, stacked_threaded", _THREADING_EDGES)
+def test_uint8_bitwise_on_each_side_of_the_dgemm_threading_limit(rng, h, w, c, stacked_threaded):
+    n = _band_columns(h, w)
+    assert (56 * 7 * c * n > 10**6) == stacked_threaded
+    assert 8 * 7 * c * min(n, _TAP_COLUMNS + 64) <= 8 * 21 * (_TAP_COLUMNS + 64) < 10**6
     frame = rng.integers(0, 256, size=(h, w, c), dtype=np.uint8)
     bank = random_bank(c, seed=0)
     assert conv2d_apply(frame, bank).tobytes() == tensordot_conv2d(frame, bank.kernels).tobytes()
@@ -183,10 +196,12 @@ def _edge_windows(h: int, w: int):
 
 class TestConv2dWindow:
     # random_bank(3, seed=5) misses the uint8 exactness bound, so sum order shows there too;
-    # at C = 3 the 40x41, 27x26 and 71x26 frames run a threaded dgemm
+    # at C = 3 the 40x41, 27x26 and 71x26 frames ran a threaded dgemm under one stacked
+    # product, and a 112x112 frame's bands run in four column blocks
     @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
     @pytest.mark.parametrize("c", [1, 3])
-    @pytest.mark.parametrize("hw", [(20, 24), (5, 6), (3, 11), (12, 4), (1, 1), (40, 41), (27, 26), (71, 26)])
+    @pytest.mark.parametrize("hw", [(20, 24), (5, 6), (3, 11), (12, 4), (1, 1), (40, 41), (27, 26), (71, 26),
+                                    (112, 112)])
     def test_window_has_the_whole_frame_bits(self, rng, hw, c, dtype):
         if dtype == np.uint8:
             frame = rng.integers(0, 256, size=(*hw, c), dtype=np.uint8)
@@ -408,8 +423,9 @@ def test_uint8_feature_salience_same_bytes_under_prescott_kernel():
 
 
 # Run in children under the Prescott kernel on 1, 2 and 3 OpenBLAS threads:
-# the threads split a whole frame's dgemm by columns, and a split point off
-# the kernel's column blocks would leave columns to its edge kernel.
+# threads would split a dgemm by columns, and a split point off the kernel's
+# column blocks would leave columns to its edge kernel. Every per-tap product
+# stays below OpenBLAS's one-thread limit, so the thread count should not show.
 _FLOAT32_WINDOWS = f"""
 import numpy as np
 from motionsample import conv2d_apply, random_bank

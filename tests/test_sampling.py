@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -563,6 +564,18 @@ class TestSamplerConfigType:
         assert type(cfg.mu) is float and cfg.mu == 0.5
         plan = json.loads(plan_to_json(sample_from_distribution(uniform_dist(40), cfg)))
         assert plan["mu"] == 0.5
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, 1.0, None, np.int64(1)])
+    def test_non_bool_deterministic_names_itself(self, value):
+        with pytest.raises(ConfigError, match=f"^deterministic must be a bool, got {re.escape(repr(value))}$"):
+            SamplerConfig(deterministic=value)
+
+    @pytest.mark.parametrize("value", [np.True_, np.False_])
+    def test_numpy_bool_deterministic_stored_as_bool(self, value):
+        cfg = SamplerConfig(n_frames=4, deterministic=value)
+        assert type(cfg.deterministic) is bool and cfg.deterministic == value
+        plan = sample_from_distribution(uniform_dist(40), cfg)
+        assert (plan.draws == (0.125, 0.375, 0.625, 0.875)) == bool(value)
 
     @pytest.mark.parametrize("mu", ["x", None])
     def test_non_real_mu_names_itself(self, mu):
