@@ -173,6 +173,8 @@ def _run_sample(args: argparse.Namespace) -> int:
     for flag, target in (("--out", args.out), ("--emit-curve", args.emit_curve)):
         if target and not args.batch and video_reads(root, args.frames_dir is not None, target):
             raise ConfigError(f"{flag} {target} names a file of the input video {root}")
+        if target and args.weights and Path(target).resolve() == Path(args.weights).resolve():
+            raise ConfigError(f"{flag} {target} names the --weights file {args.weights}")
     # A single video is the batch of one at ordinal 0, whose seed is --seed itself.
     jobs = _batch_jobs(root, Path(args.out)) if args.batch else [(root, args.frames_dir is not None, args.out)]
     bank = load_kernel_bank(args.weights) if args.weights else None

@@ -9,9 +9,11 @@ distribution over frames and optionally power-smoothed (``video_distribution``).
 The feature level uses a fixed, training-free bank of eight 7x7 filters:
 load it from an MGKB weight file (``ingest``), build it from a seeded
 Gaussian draw, or use the identity test preset.  ``conv2d_apply`` runs
-the bank over a frame, and ``_conv2d_window`` over any window of it, as one
-float64 dgemm per horizontal tap over shifted row bands of the zero-padded
-input: 7*C band rows instead of a 49*C-row im2col matrix.
+the bank over a frame, and ``_conv2d_window`` over any window of it, in row
+strips whose bands stay within 4160 columns, each as one float64 dgemm per
+horizontal tap over shifted row bands of the zero-padded input: 7*C band
+rows instead of a 49*C-row im2col matrix, and scratch sized by the frame's
+width, not its height.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ KERNEL_COUNT = 8
 KERNEL_SIZE = 7
 KERNEL_PADDING = 3
 _RANDOM_STDDEV = 1.0 / 49.0
-_CHUNK_BYTES = 256 * 1024  # uint8 image salience: size cap of each of its two difference buffers (fewer chunks, fewer calls)
+_CHUNK_BYTES = 256 * 1024  # size cap of uint8 image salience's two difference buffers and of feature change masks
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
@@ -245,17 +247,18 @@ def random_bank(channels: int = 1, seed: int = 0) -> ConvKernelBank:
 # Every dgemm multiplies whole 64-column blocks, so no column that reaches the
 # output is left to a BLAS edge kernel, which may sum in another order.
 _COLUMN_BLOCK = 64
-_TAP_COLUMNS = 4096  # column block of the per-tap products: a wider band runs in blocks, each (8, 4096 + 64) product in cache
+_BAND_COLUMNS = 4160  # band cap, 65 column blocks: windows run in strips whose bands fit, each (8, 4160) product in cache
 
 
 def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
     """Cross-correlate one (H, W, C) frame with the bank; returns (8, H, W).
 
-    Stride 1 with zero-padding 3, so the spatial size is preserved.  This is
-    the widest window of ``_conv2d_window``, copied out of its scratch.
-    Each output sums the same 49*C products as the direct correlation, in a
-    float64 order that BLAS fixes in part; README, *Reproducibility notes*,
-    says which bits that leaves to the BLAS kernel.
+    Stride 1 with zero-padding 3, so the spatial size is preserved.  The
+    frame is the widest window of ``_conv2d_window``, its strips copied out
+    of a scratch sized by the frame's width alone.  Each output sums the
+    same 49*C products as the direct correlation, in a float64 order that
+    BLAS fixes in part; README, *Reproducibility notes*, says which bits
+    that leaves to the BLAS kernel.
     """
     frame = np.asarray(frame)
     if frame.ndim != 3:
@@ -264,8 +267,15 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
         raise ConfigError(
             f"kernel bank expects {bank.channels} channel(s), frame has {frame.shape[2]}"
         )
-    h, w, c = frame.shape
-    return np.ascontiguousarray(_conv2d_window(frame, bank, 0, h, 0, w, _window_scratch(h, w, c)))
+    return _feature_map(frame, bank, _window_scratch(*frame.shape[1:]))
+
+
+def _feature_map(frame: np.ndarray, bank: ConvKernelBank, scratch: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The whole frame's (8, H, W) features, strip by strip through ``scratch``."""
+    out = np.empty((KERNEL_COUNT, *frame.shape[:2]))
+    for ys, ye, strip in _conv2d_window(frame, bank, 0, out.shape[1], 0, out.shape[2], scratch):
+        out[:, ys:ye] = strip
+    return out
 
 
 def _aligned_empty(size: int) -> np.ndarray:
@@ -276,86 +286,84 @@ def _aligned_empty(size: int) -> np.ndarray:
 
 
 def _band_length(h: int, wp: int) -> int:
-    """Columns of each band of an h-row window with rows Wp wide: h*Wp + 6, rounded up to whole column blocks."""
+    """Columns of each band of an h-row strip with rows Wp wide: h*Wp + 6, rounded up to whole column blocks."""
     return -(-(h * wp + KERNEL_SIZE - 1) // _COLUMN_BLOCK) * _COLUMN_BLOCK
 
 
-def _window_scratch(h: int, w: int, c: int) -> tuple[np.ndarray, ...]:
-    """Flat buffers for ``_conv2d_window`` on (H, W, C) frames: padded input, bands, tap products, output.
+def _window_scratch(w: int, c: int) -> tuple[np.ndarray, ...]:
+    """Flat buffers for ``_conv2d_window`` on frames W wide with C channels: padded input, bands, tap products, output.
 
-    They are sized for the whole frame, so one set serves every window of a
-    clip.  Each call refills the bands and the tap products, so they are free
-    between calls; the output buffer holds the last window's output block.
-    The tap-product buffer holds two (8, m) slabs, m the widest product, and
-    at least (8, H, W) values.
+    They are sized by the widest band a strip can have, ``_BAND_COLUMNS`` or
+    one row of the frame's width, so one set serves every window of a clip
+    and does not grow with the frame's height.  They are views of one block:
+    taken and freed once per clip, one block is reused from the heap, where
+    glibc handed four smaller ones back to the OS and faulted them in again
+    on every call.  Each strip refills all four; the tap products are free
+    once it is yielded, and the output holds it.
     """
     wp = w + 2 * KERNEL_PADDING
-    n = _band_length(h, wp)
-    m = min(n, _TAP_COLUMNS + _COLUMN_BLOCK)
-    return (_aligned_empty(c * (KERNEL_SIZE * wp + n)), _aligned_empty(c * KERNEL_SIZE * n),
-            _aligned_empty(KERNEL_COUNT * max(2 * m, h * w)), _aligned_empty(KERNEL_COUNT * n))
+    n = max(_BAND_COLUMNS, _band_length(1, wp))  # whole 64-byte lines: each buffer after the first starts on one
+    sizes = [c * KERNEL_SIZE * n, KERNEL_COUNT * n, KERNEL_COUNT * n, c * (KERNEL_SIZE * wp + n)]
+    bands, products, out, padded = np.split(_aligned_empty(sum(sizes)), np.cumsum(sizes[:-1]))
+    return padded, bands, products, out
 
 
 def _conv2d_window(
     frame: np.ndarray, bank: ConvKernelBank, y0: int, y1: int, x0: int, x1: int, scratch: tuple[np.ndarray, ...],
     prev: np.ndarray | None = None,
-) -> np.ndarray:
-    """Output rows y0:y1 and columns x0:x1 of ``conv2d_apply(frame, bank)``, shaped (8, y1-y0, x1-x0).
+):
+    """Yield (ys, ye, strip) for rows ys:ye of output window y0:y1, x0:x1 of ``conv2d_apply(frame, bank)``.
 
-    The window is a view into ``scratch`` (from ``_window_scratch`` for the
-    frame's shape), valid until the next call that uses the same buffers.
-    Accumulation runs in float64, as one band product per horizontal tap.
-    The window's input, rows y0-3:y1+3 and columns x0-3:x1+3, is read from
-    the frame (given a uint8 ``prev``, from frame - prev: the window then
-    convolves the difference) into a planar (C, R, Wp) array, Wp = (x1-x0)+6,
-    with zeros only where it reaches past the frame border and in the rows
-    below it.
+    Each strip is shaped (8, ye-ys, x1-x0).  The window runs in the fewest
+    strips of near-equal height whose bands stay within ``_BAND_COLUMNS``
+    (a strip has at least one row, so a row wider than the cap makes one
+    wider band); strips of one pixel come only from one-pixel windows,
+    since numpy sums a lone pixel's channels in another order (README,
+    *Reproducibility notes*).  Each strip is a view into ``scratch`` (from
+    ``_window_scratch`` for the frame's width), valid until the next strip
+    or call that uses the same buffers.  Accumulation runs in float64, as
+    one band product per horizontal tap.  A strip's input, rows ys-3:ye+3
+    and columns x0-3:x1+3, is read from the frame (given a uint8 ``prev``,
+    from frame - prev: the window then convolves the difference) into a
+    planar (C, R, Wp) array, Wp = (x1-x0)+6, with zeros only where it
+    reaches past the frame border and in the rows below it.
     Band (c, dy) is plane c read flat from offset dy*Wp, n values long, n =
-    h*Wp+6 rounded up to a multiple of 64, h = y1-y0; so its entry
+    h*Wp+6 rounded up to a multiple of 64, h = ye-ys; so its entry
     y*Wp + x + dx is input pixel (c, y+dy, x+dx): the 7 horizontal taps of a
     row are one band read at offsets 0..6.  Tap dx's kernels as an (8, 7*C)
     matrix, columns (c, dy), times the (7*C, n) bands give Y_dx (8, n), one
     dgemm per dx.  Output (k, y, x) is Y_0[k, y*Wp + x] + ... +
     Y_6[k, y*Wp + x + 6], added in that order, each add once over Y_dx read
-    flat while it is still in cache; the returned view leaves out the
-    columns past h*Wp, which mix in the next filter's row, and the 6 pad
-    columns of each row.  Bands wider than ``_TAP_COLUMNS`` + 64 columns
-    run in column blocks: each block's products reach 64 columns into the
-    next block, so every add it keeps reads its own product, and its first
-    ``_TAP_COLUMNS`` columns are copied into the output.  Each value has the
-    whole frame's bits (README, *Reproducibility notes*).
+    flat while it is still in cache; the strip leaves out the columns past
+    h*Wp, which mix in the next filter's row, and the 6 pad columns of each
+    row.  A strip is a window, so each value has the whole frame's bits
+    (README, *Reproducibility notes*).
     """
     h, w, c = frame.shape
     pad, size = KERNEL_PADDING, KERNEL_SIZE
     wp = x1 - x0 + 2 * pad
-    n = _band_length(y1 - y0, wp)
-    rows = size - 1 + -(-n // wp)
     flat_padded, flat_bands, flat_products, flat_out = scratch
-    padded = flat_padded[: c * rows * wp].reshape(c, rows, wp)
-    padded[...] = 0.0
-    iy0, iy1, ix0, ix1 = max(y0 - pad, 0), min(y1 + pad, h), max(x0 - pad, 0), min(x1 + pad, w)
-    src = frame[iy0:iy1, ix0:ix1]
-    if prev is not None:  # uint8 frames: the difference is exact in int16, taken in the frame's own layout
-        src = np.subtract(src, prev[iy0:iy1, ix0:ix1], dtype=np.int16)
-    padded[:, iy0 - y0 + pad : iy1 - y0 + pad, ix0 - x0 + pad : ix1 - x0 + pad] = np.moveaxis(src, 2, 0)
-    bands = flat_bands[: c * size * n].reshape(c, size, n)  # band (c, dy): padded's strides, n values long
-    np.copyto(bands, np.ndarray((c, size, n), buffer=flat_padded, strides=padded.strides))
-    bands = bands.reshape(c * size, n)  # rows (c, dy)
-    taps, block = bank._taps, flat_out[: KERNEL_COUNT * n].reshape(KERNEL_COUNT, n)
-    for j in range(0, max(n - _COLUMN_BLOCK, 1), _TAP_COLUMNS):
-        m = min(n - j, _TAP_COLUMNS + _COLUMN_BLOCK)  # the last block runs to the band's end
-        product = flat_products[: KERNEL_COUNT * m].reshape(KERNEL_COUNT, m)
-        acc = block if m == n else flat_products[KERNEL_COUNT * m : 2 * KERNEL_COUNT * m].reshape(KERNEL_COUNT, m)
-        cols = bands[:, j : j + m]
-        np.matmul(taps[0], cols, out=acc)
-        sums = acc.reshape(-1)[: KERNEL_COUNT * m - size + 1]  # so no read passes the end of its product
+    strips = -(-(y1 - y0) // max(1, (_BAND_COLUMNS - size + 1) // wp))
+    for i in range(strips):
+        ys, ye = y0 + i * (y1 - y0) // strips, y0 + (i + 1) * (y1 - y0) // strips
+        n = _band_length(ye - ys, wp)
+        rows = size - 1 + -(-n // wp)
+        padded = flat_padded[: c * rows * wp].reshape(c, rows, wp)
+        padded[...] = 0.0
+        iy0, iy1, ix0, ix1 = max(ys - pad, 0), min(ye + pad, h), max(x0 - pad, 0), min(x1 + pad, w)
+        src = frame[iy0:iy1, ix0:ix1]
+        if prev is not None:  # uint8 frames: the difference is exact in int16, taken in the frame's own layout
+            src = np.subtract(src, prev[iy0:iy1, ix0:ix1], dtype=np.int16)
+        padded[:, iy0 - ys + pad : iy1 - ys + pad, ix0 - x0 + pad : ix1 - x0 + pad] = np.moveaxis(src, 2, 0)
+        bands = flat_bands[: c * size * n].reshape(c * size, n)  # row (c, dy): padded's plane c from dy*Wp, n values
+        np.copyto(bands.reshape(c, size, n), np.ndarray((c, size, n), buffer=flat_padded, strides=padded.strides))
+        out, product = flat_out[: KERNEL_COUNT * n].reshape(KERNEL_COUNT, n), flat_products[: KERNEL_COUNT * n]
+        np.matmul(bank._taps[0], bands, out=out)
+        sums = out.reshape(-1)[: KERNEL_COUNT * n - size + 1]  # so no read passes the end of a product
         for dx in range(1, size):
-            np.matmul(taps[dx], cols, out=product)
-            sums += product.reshape(-1)[dx : dx + sums.size]
-        if acc is not block:
-            kept = m if j + m == n else _TAP_COLUMNS
-            block[:, j : j + kept] = acc[:, :kept]
-    return block[:, : (y1 - y0) * wp].reshape(KERNEL_COUNT, y1 - y0, wp)[:, :, : x1 - x0]
+            np.matmul(bank._taps[dx], bands, out=product.reshape(KERNEL_COUNT, n))
+            sums += product[dx : dx + sums.size]
+        yield ys, ye, out[:, : (ye - ys) * wp].reshape(KERNEL_COUNT, ye - ys, wp)[:, :, : x1 - x0]
 
 
 def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceVector:
@@ -373,8 +381,9 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     frames under a bank that meets README's exactness bound convolve windows
     of frames[t] - frames[t-1]: no frame 0, no cached feature map.  Other
     clips convolve frame 0 whole, then windows of frames[t] against the
-    cached map.  The scratch, whole-frame convolution buffers, that map if
-    cached and an (H, W) norm map, does not grow with T.
+    cached map.  The scratch, one set of strip buffers sized by the frame's
+    width, change masks of at most 256 KiB or one frame, an (H, W) norm map
+    and the feature map if cached, does not grow with T.
 
     Pixels compare by value, so 0.0 and -0.0 are equal; the two can change a
     feature value only in the sign of a zero, which no square can see.  A
@@ -394,17 +403,17 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     out = np.zeros(t_count, dtype=np.float64)
     r = KERNEL_PADDING
     by_difference = frames.dtype == np.uint8 and bank._sums_uint8_exactly  # README, *Reproducibility notes*
+    scratch = _window_scratch(w, c)  # one set of strip buffers for every window
+    k = max(1, min(t_count - 1, _CHUNK_BYTES // flat[0].size))
+    masks = np.empty((k, h, w * c), dtype=np.bool_)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the errors below name the frame
-        scratch = _window_scratch(h, w, c)  # one set of convolution buffers for every window
-        _, masks, spent, _ = scratch  # free between windows: the change masks (as bools) and each window's difference
         if not by_difference:
-            feats = _conv2d_window(frames[0], bank, 0, h, 0, w, scratch).copy()  # updated in place
+            feats = _feature_map(frames[0], bank, scratch)  # updated in place
             if t_count > 1 and not np.isfinite(feats).all():
                 raise StructuralError("salience entry 1 (frame 0) must be finite and >= 0")
-        k = max(1, min(t_count - 1, masks.nbytes // flat[0].size))
         for s in range(1, t_count, k):
             e = min(s + k, t_count)
-            changed = masks.view(np.bool_)[: (e - s) * flat[0].size].reshape(e - s, h, w * c)
+            changed = masks[: e - s]
             np.not_equal(flat[s:e], flat[s - 1 : e - 1], out=changed)
             for t, row_mask, col_mask in zip(range(s, e), changed.any(axis=2), changed.any(axis=1)):
                 rows = np.flatnonzero(row_mask)
@@ -414,16 +423,16 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
                 y0, y1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, h)
                 x0, x1 = max(cols[0] // c - r, 0), min(cols[-1] // c + r + 1, w)
                 prev = frames[t - 1] if by_difference else None
-                new = _conv2d_window(frames[t], bank, y0, y1, x0, x1, scratch, prev)
-                diff = spent[: new.size].reshape(new.shape)  # contiguous, as conv2d_apply's (8, H, W)
-                if by_difference:
-                    np.square(new, out=diff)
-                else:
-                    cached = feats[:, y0:y1, x0:x1]
-                    np.subtract(cached, new, out=diff)  # -(cur - cached), exactly: the same squares
-                    np.square(diff, out=diff)
-                    cached[...] = new
-                np.sqrt(diff.sum(axis=0), out=norms[y0:y1, x0:x1])
+                for ys, ye, new in _conv2d_window(frames[t], bank, y0, y1, x0, x1, scratch, prev):
+                    diff = scratch[2][: new.size].reshape(new.shape)  # spent tap products; contiguous, as (8, H, W)
+                    if by_difference:
+                        np.square(new, out=diff)
+                    else:
+                        cached = feats[:, ys:ye, x0:x1]
+                        np.subtract(cached, new, out=diff)  # -(cur - cached), exactly: the same squares
+                        np.square(diff, out=diff)
+                        cached[...] = new
+                    np.sqrt(diff.sum(axis=0), out=norms[ys:ye, x0:x1])
                 out[t] = norms.sum()
                 norms[y0:y1, x0:x1] = 0.0
     return _salience_vector(out, frames)
@@ -456,7 +465,7 @@ def smooth_distribution(m: MotionDistribution, mu: float) -> MotionDistribution:
     Zero entries stay zero for mu > 0.
     """
     if not np.isfinite(mu) or mu < 0:
-        raise ConfigError(f"smoothing exponent must be >= 0, got {mu!r}")
+        raise ConfigError(f"smoothing exponent must be finite and >= 0, got {mu!r}")
     if mu == 1.0:
         return m
     # no uniform fallback in exact arithmetic, but tiny probabilities can underflow for large mu

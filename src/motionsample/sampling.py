@@ -106,7 +106,7 @@ class SamplerConfig:
             raise ConfigError(f"deterministic must be a bool, got {self.deterministic!r}")
         object.__setattr__(self, "deterministic", bool(self.deterministic))
         if not math.isfinite(self.mu) or self.mu < 0:
-            raise ConfigError(f"mu must be >= 0, got {self.mu!r}")
+            raise ConfigError(f"mu must be finite and >= 0, got {self.mu!r}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         if self.strategy == "stride" and self.stride < 1:

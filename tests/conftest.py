@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from motionsample import FrameVolume, MotionDistribution, SalienceVector, normalize_salience
+from motionsample.motion import _conv2d_window, _window_scratch
 
 
 def write_pgm(path, pixels) -> None:
@@ -26,6 +27,19 @@ def random_volume(rng, t, h=4, w=5, c=1, dtype=np.uint8) -> FrameVolume:
     else:
         data = rng.uniform(0, 255, size=(t, h, w, c)).astype(np.float32)
     return FrameVolume(data)
+
+
+def convolve_window(frame, bank, y0, y1, x0, x1, scratch=None, prev=None) -> np.ndarray:
+    """Window y0:y1, x0:x1 of ``frame``'s features, (8, y1-y0, x1-x0): the strips ``_conv2d_window`` yields, stacked.
+
+    Each strip is copied out before the next one reuses the scratch
+    (by default one for the frame's width); the strips must tile the
+    window's rows in order.
+    """
+    scratch = scratch or _window_scratch(*frame.shape[1:])
+    strips = [(ys, ye, strip.copy()) for ys, ye, strip in _conv2d_window(frame, bank, y0, y1, x0, x1, scratch, prev)]
+    assert [ys for ys, _, _ in strips] + [y1] == [y0] + [ye for _, ye, _ in strips]
+    return np.concatenate([strip for _, _, strip in strips], axis=1)
 
 
 def weights_at_the_bound(units: int) -> list[float]:

@@ -131,6 +131,12 @@ class TestSampleErrors:
         d = make_frames_dir(tmp_path, "v")
         assert main(["sample", "--frames-dir", str(d), "--mu", "-1"]) == 1
 
+    @pytest.mark.parametrize("mu", ["-1", "nan", "inf"])
+    def test_mu_error_says_finite_and_non_negative(self, tmp_path, capsys, mu):
+        d = make_frames_dir(tmp_path, "v")
+        assert main(["sample", "--frames-dir", str(d), "--mu", mu]) == 1
+        assert f"mu must be finite and >= 0, got {float(mu)!r}" in capsys.readouterr().err
+
     def test_missing_input_dir_is_input_error(self, tmp_path, capsys):
         assert main(["sample", "--frames-dir", str(tmp_path / "absent")]) == 2
         assert "error" in capsys.readouterr().err
@@ -195,6 +201,23 @@ class TestSampleErrors:
             assert main(["sample", "--raw-tensor", str(mgvt), flag, str(target)]) == 1
             assert f"{flag} {target} names a file of the input video" in capsys.readouterr().err
         assert mgvt.read_bytes() == before
+
+    @pytest.mark.parametrize("flag", ["--out", "--emit-curve"])
+    def test_output_over_the_weights_file_is_usage_error(self, tmp_path, capsys, flag):
+        mgvt, weights = tmp_path / "v.mgvt", tmp_path / "bank.mgkb"
+        assert main(["gen", "--t-count", "12", "--height", "8", "--width", "8", "--out", str(mgvt)]) == 0
+        save_kernel_bank(random_bank(1, seed=3), weights)
+        capsys.readouterr()
+        before = weights.read_bytes()
+        (tmp_path / "sub").mkdir()
+        for target in (weights, tmp_path / "sub" / ".." / "bank.mgkb"):
+            argv = ["sample", "--raw-tensor", str(mgvt), "--representation", "feature", "--weights", str(weights)]
+            assert main([*argv, flag, str(target)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{flag} {target} names the --weights file {weights}" in captured.err
+        assert weights.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bank.mgkb", "sub", "v.mgvt"]
 
     @pytest.mark.parametrize("flag", ["--out", "--emit-curve"])
     def test_output_onto_a_frame_of_the_input_dir_is_usage_error(self, tmp_path, capsys, flag):

@@ -27,8 +27,8 @@ from motionsample import (
     random_bank,
     save_kernel_bank,
 )
-from motionsample.motion import _CHUNK_BYTES, _TAP_COLUMNS, _band_length, _conv2d_window, _window_scratch
-from conftest import weights_at_the_bound
+from motionsample.motion import _BAND_COLUMNS, _CHUNK_BYTES, _band_length, _conv2d_window, _window_scratch
+from conftest import convolve_window, weights_at_the_bound
 from oracles import loop_conv2d, tensordot_conv2d
 import motionsample
 
@@ -156,32 +156,49 @@ class TestConv2dAgainstTensordot:
 
 
 def _band_columns(h: int, w: int) -> int:
-    """Columns of an (h, w) window's bands: h*(w+6)+6, rounded up to 64."""
+    """Columns of the bands of h rows of an (h, w) window: h*(w+6)+6, rounded up to 64."""
     return -(-(h * (w + 6) + 6) // 64) * 64
 
 
-def test_reference_shapes_span_several_column_blocks():
-    # a block whose products reach fewer than the 6 columns the dx adds read
-    # past it changes outputs only where the bands run in more than one block
-    wide = [hw for hw in _REFERENCE_SHAPES if _band_columns(*hw) > _TAP_COLUMNS + 64]
+def _strips(h: int, w: int) -> int:
+    """Strips of an (h, w) window: the fewest whose bands, of near-equal row counts, stay within 4160 columns."""
+    return -(-h // max(1, (4160 - 6) // (w + 6)))
+
+
+def test_reference_shapes_span_several_strips():
+    # a strip that reads fewer than the 3 halo rows above and below it changes
+    # outputs only where a window runs in more than one strip
+    assert _BAND_COLUMNS == 4160
+    wide = [hw for hw in _REFERENCE_SHAPES if _strips(*hw) > 1]
     assert wide == [(64, 64), (112, 112), (97, 131)]
-    assert [len(range(0, _band_columns(*hw) - 64, _TAP_COLUMNS)) for hw in wide] == [2, 4, 4]  # blocks
+    assert [_strips(*hw) for hw in wide] == [2, 4, 4]
+
+
+def test_rows_wider_than_the_band_cap_run_one_row_per_strip(rng):
+    # a 4150-pixel row makes bands of 4162 columns, 4224 once rounded up: past
+    # the cap, so each strip is one row and the scratch holds that wider band
+    h, w, c = 3, 4150, 1
+    frame = rng.integers(0, 256, size=(h, w, c), dtype=np.uint8)
+    bank = random_bank(c, seed=0)
+    strips = _conv2d_window(frame, bank, 0, h, 0, w, _window_scratch(w, c))
+    assert [ye - ys for ys, ye, _ in strips] == [1, 1, 1]
+    assert conv2d_apply(frame, bank).tobytes() == tensordot_conv2d(frame, bank.kernels).tobytes()
 
 
 # (h, w, c, stacked_threaded): shapes whose one stacked (7*8, 7*C) band product
-# sat just below and above OpenBLAS's one-thread limit (10**6 multiply-adds),
-# and ones whose stacked product took about 2.7e6-2.8e6. A per-tap product is
-# (8, 7*C) times at most _TAP_COLUMNS + 64 band columns, at most 8*21*4160 =
-# 0.70e6 multiply-adds at C = 3: every one now stays below the limit
+# over the whole frame sat just below and above OpenBLAS's one-thread limit
+# (10**6 multiply-adds), and ones whose stacked product took about 2.7e6-2.8e6.
+# A per-tap product is (8, 7*C) times the bands of one strip, at most 4160
+# columns here, so at most 8*21*4160 = 0.70e6 multiply-adds at C = 3: every
+# one now stays below the limit
 _THREADING_EDGES = [(25, 26, 3, False), (27, 26, 3, True), (71, 26, 3, True), (73, 26, 3, True),
                     (77, 26, 1, False), (79, 26, 1, True), (217, 26, 1, True), (219, 26, 1, True)]
 
 
 @pytest.mark.parametrize("h, w, c, stacked_threaded", _THREADING_EDGES)
 def test_uint8_bitwise_on_each_side_of_the_dgemm_threading_limit(rng, h, w, c, stacked_threaded):
-    n = _band_columns(h, w)
-    assert (56 * 7 * c * n > 10**6) == stacked_threaded
-    assert 8 * 7 * c * min(n, _TAP_COLUMNS + 64) <= 8 * 21 * (_TAP_COLUMNS + 64) < 10**6
+    assert (56 * 7 * c * _band_columns(h, w) > 10**6) == stacked_threaded
+    assert 8 * 7 * c * _band_columns(-(-h // _strips(h, w)), w) <= 8 * 21 * _BAND_COLUMNS < 10**6
     frame = rng.integers(0, 256, size=(h, w, c), dtype=np.uint8)
     bank = random_bank(c, seed=0)
     assert conv2d_apply(frame, bank).tobytes() == tensordot_conv2d(frame, bank.kernels).tobytes()
@@ -197,7 +214,7 @@ def _edge_windows(h: int, w: int):
 class TestConv2dWindow:
     # random_bank(3, seed=5) misses the uint8 exactness bound, so sum order shows there too;
     # at C = 3 the 40x41, 27x26 and 71x26 frames ran a threaded dgemm under one stacked
-    # product, and a 112x112 frame's bands run in four column blocks
+    # product, and a 112x112 frame's whole-height windows run in four strips
     @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
     @pytest.mark.parametrize("c", [1, 3])
     @pytest.mark.parametrize("hw", [(20, 24), (5, 6), (3, 11), (12, 4), (1, 1), (40, 41), (27, 26), (71, 26),
@@ -209,9 +226,9 @@ class TestConv2dWindow:
             frame = rng.uniform(0, 255, size=(*hw, c)).astype(np.float32)
         bank = random_bank(c, seed=5)
         whole = conv2d_apply(frame, bank)
-        scratch = _window_scratch(*frame.shape)  # shared by every window, as in a clip
+        scratch = _window_scratch(*frame.shape[1:])  # shared by every window, as in a clip
         for y0, y1, x0, x1 in _edge_windows(*hw):
-            window = _conv2d_window(frame, bank, y0, y1, x0, x1, scratch)
+            window = convolve_window(frame, bank, y0, y1, x0, x1, scratch)
             assert window.tobytes() == whole[:, y0:y1, x0:x1].tobytes(), (y0, y1, x0, x1)
 
     # the whole 6x25 frame, then windows of that size inside a 20x40 frame, at its top right and bottom left
@@ -224,7 +241,7 @@ class TestConv2dWindow:
         assert _band_length(h, w + 6) == h * (w + 6) + 6 == 3 * 64
         frame = rng.uniform(0, 255, size=(*hw, c)).astype(dtype)
         bank = random_bank(c, seed=5)
-        window = _conv2d_window(frame, bank, y0, y0 + h, x0, x0 + w, _window_scratch(*frame.shape))
+        window = convolve_window(frame, bank, y0, y0 + h, x0, x0 + w)
         whole = conv2d_apply(frame, bank)
         assert window.tobytes() == whole[:, y0 : y0 + h, x0 : x0 + w].tobytes()
 
@@ -290,7 +307,7 @@ def test_bound_property_agrees_with_the_oracle_on_random_banks():
 def test_window_scratch_starts_on_64_byte_boundaries(hwc):
     # the feature loop's vector adds read and write these buffers; left where
     # the heap put them, they made feature salience ~25% slower on an AVX-512 Xeon
-    assert [buf.ctypes.data % 64 for buf in _window_scratch(*hwc)] == [0, 0, 0, 0]
+    assert [buf.ctypes.data % 64 for buf in _window_scratch(*hwc[1:])] == [0, 0, 0, 0]
 
 
 def test_scratch_stays_below_the_im2col_matrix(rng):
@@ -329,6 +346,33 @@ def test_feature_salience_scratch_does_not_grow_with_t(rng):
     assert long < scratch + 2 * feature_map  # the cached map, plus slack
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+def test_feature_salience_scratch_does_not_grow_with_frame_height(rng, dtype):
+    # the strip buffers are sized by the frame's width; only the (H, W) norm
+    # map, the change masks and a float32 clip's cached (8, H, W) feature map,
+    # with the bools of its finiteness check, grow with H (the clip itself is
+    # allocated before the peaks are taken)
+    t, w, c = 4, 64, 3
+    bank = random_bank(c, seed=0)
+
+    def peak_of(h: int) -> int:
+        video = FrameVolume(rng.integers(0, 256, size=(t, h, w, c), dtype=np.uint8).astype(dtype))
+        feature_diff_salience(video, bank)  # numpy's first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            feature_diff_salience(video, bank)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def frame_sized(h: int) -> int:
+        masks = max(1, min(t - 1, _CHUNK_BYTES // (h * w * c))) * h * w * c
+        return 8 * h * w + masks + (dtype == np.float32) * (8 + 1) * 8 * h * w
+
+    low, tall = peak_of(64), peak_of(512)
+    assert tall - low <= frame_sized(512) - frame_sized(64) + 16 * 1024  # plus slack for row and column indices
+
+
 def test_uint8_feature_salience_keeps_no_feature_map(rng):
     # beside the convolution scratch, a uint8 clip under a bank that meets the
     # bound holds only arrays of an eighth of an (8, H, W) map or less (norms,
@@ -336,7 +380,7 @@ def test_uint8_feature_salience_keeps_no_feature_map(rng):
     h, w, c = 64, 64, 3
     bank = random_bank(c, seed=0)
     frames = rng.integers(0, 256, size=(6, h, w, c), dtype=np.uint8)
-    scratch, feature_map = sum(buf.nbytes for buf in _window_scratch(h, w, c)), 8 * h * w * 8
+    scratch, feature_map = sum(buf.nbytes for buf in _window_scratch(w, c)), 8 * h * w * 8
 
     def peak_of(video: FrameVolume) -> int:
         feature_diff_salience(video, bank)  # numpy's first-call allocations stay out of the peak
@@ -434,11 +478,12 @@ rng = np.random.default_rng(3)
 frame = rng.uniform(0, 255, size=(64, 64, 3)).astype(np.float32)
 bank = random_bank(3, seed=0)
 whole = conv2d_apply(frame, bank)
-scratch = _window_scratch(64, 64, 3)
+scratch = _window_scratch(64, 3)
 windows = {[*_edge_windows(64, 64), (3, 60, 0, 64), (9, 64, 5, 61), (0, 51, 13, 64), (20, 63, 1, 50)]!r}
 for y0, y1, x0, x1 in windows:
-    window = _conv2d_window(frame, bank, y0, y1, x0, x1, scratch)
-    print(window.tobytes() == whole[:, y0:y1, x0:x1].tobytes())
+    strips = [strip.tobytes() == whole[:, ys:ye, x0:x1].tobytes()
+              for ys, ye, strip in _conv2d_window(frame, bank, y0, y1, x0, x1, scratch)]
+    print(all(strips))
 """
 
 

@@ -24,7 +24,7 @@ from motionsample import (
     random_bank,
     smooth_distribution,
 )
-from conftest import random_volume, weights_at_the_bound
+from conftest import convolve_window, random_volume, weights_at_the_bound
 from oracles import loop_image_salience, shannon_entropy
 
 MU_GRID = (0.0, 0.1, 0.3, 0.5, 0.8, 1.0, 2.0)
@@ -335,7 +335,7 @@ def convolve_every_frame(video, bank):
 
 @pytest.fixture
 def conv_calls(monkeypatch):
-    """Counts the convolutions (whole frame or window) feature_diff_salience runs."""
+    """Records the window of each convolution (whole frame or not) feature_diff_salience runs, however many strips."""
     calls = []
     convolve = motion._conv2d_window
 
@@ -360,8 +360,8 @@ class TestFeatureSkipsRepeats:
     @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
     def test_clip_longer_than_two_chunks_of_change_masks(self, rng, dtype):
         h, w, c, t_count = 20, 24, 3, 400
-        # a chunk holds as many transitions as their change masks, a bool per value, fit in the band buffer
-        assert t_count - 1 > 2 * motion._window_scratch(h, w, c)[1].nbytes // (h * w * c)
+        # a chunk holds as many transitions as their change masks, a bool per value, fit in _CHUNK_BYTES
+        assert t_count - 1 > 2 * (motion._CHUNK_BYTES // (h * w * c))
         frames = np.repeat(random_volume(rng, 1, h=h, w=w, c=c, dtype=dtype).frames, t_count, axis=0)
         for t in np.flatnonzero(rng.random(t_count) < 0.4):
             y, x = rng.integers(0, h - 3), rng.integers(0, w - 3)
@@ -439,10 +439,15 @@ class TestFeatureByDifference:
     def test_windows_convolve_the_difference(self, rng):
         frames = rng.integers(0, 256, size=(2, 11, 13, 3), dtype=np.uint8)
         frames[1, :2] = frames[0, :2]
-        bank, scratch = random_bank(3), motion._window_scratch(11, 13, 3)
-        window = motion._conv2d_window(frames[1], bank, 0, 11, 0, 13, scratch, frames[0])
-        expected = conv2d_apply(frames[1].astype(np.float64) - frames[0], bank)
-        assert window.tobytes() == expected.tobytes()
+        bank = random_bank(3)
+        for y0, y1 in [(0, 11), (2, 9)]:  # the whole frame, and a window inside it
+            window = convolve_window(frames[1], bank, y0, y1, 3, 13, prev=frames[0])
+            expected = conv2d_apply(frames[1].astype(np.float64) - frames[0], bank)[:, y0:y1, 3:13]
+            assert window.tobytes() == expected.tobytes()
+        # 112 rows of 3-channel pixels run in four strips, each differencing its own halo rows
+        frames = rng.integers(0, 256, size=(2, 112, 112, 3), dtype=np.uint8)
+        window = convolve_window(frames[1], bank, 0, 112, 0, 112, prev=frames[0])
+        assert window.tobytes() == conv2d_apply(frames[1].astype(np.float64) - frames[0], bank).tobytes()
 
     def test_uint8_clip_under_a_bank_that_misses_the_bound_keeps_the_whole_frame_bits(self, rng):
         # 1.0 beside 3.3e-9 misses the bound, so convolving the difference could round
@@ -527,11 +532,12 @@ class TestFeatureWindows:
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
     @pytest.mark.parametrize("c", [1, 3])
-    @pytest.mark.parametrize("hw", [(20, 24), (1, 1), (1, 24), (20, 1)])
+    @pytest.mark.parametrize("hw", [(20, 24), (1, 1), (1, 24), (20, 1), (97, 131)])
     def test_windows_of_changing_shape_share_one_scratch(self, rng, conv_calls, hw, c, dtype):
-        # windows grow, then shrink, so each one's buffers still hold what a
-        # window of another shape left there; 1-pixel-high or wide frames give
-        # 1x1, 1xW and Hx1 windows
+        # windows grow, then shrink, so each strip's buffers still hold what a
+        # strip of another shape left there; 1-pixel-high or wide frames give
+        # 1x1, 1xW and Hx1 windows, and a 97x131 frame's larger windows run
+        # in two to four strips of their own heights
         h, w = hw
         centre = (h // 2, h // 2 + 1, w // 2, w // 2 + 1)
         boxes = [centre, (h // 4, h - h // 4, w // 4, w - w // 4), (0, h, 0, w), (0, 1, 0, w), (0, h, w - 1, w),
@@ -548,6 +554,19 @@ class TestFeatureWindows:
         assert len(areas) == len(boxes)
         if h * w > 1:
             assert areas[0] < areas[1] < areas[2] > areas[7]
+
+    @pytest.mark.parametrize("h, heights", [(594, [297, 297]), (1187, [395, 396, 396])])
+    def test_tall_one_pixel_wide_windows_get_no_one_pixel_strip(self, rng, h, heights):
+        # numpy sums a lone pixel's 8 squared differences as a pairwise tree, not
+        # k = 0..7 in order as over the whole frame, so a one-row strip of a
+        # one-pixel-wide window could change the bits; a strip holds 593 such
+        # rows. The square root and the map sum hide most such last-bit changes,
+        # so the strip heights are checked too
+        bank = random_bank(1, seed=5)
+        video = random_volume(rng, 12, h=h, w=1, dtype=np.float32)
+        strips = motion._conv2d_window(video.frames[0], bank, 0, h, 0, 1, motion._window_scratch(1, 1))
+        assert [ye - ys for ys, ye, _ in strips] == heights
+        assert feature_diff_salience(video, bank).values.tobytes() == convolve_every_frame(video, bank).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_inside_a_later_window_names_its_frame(self, rng, bad):
@@ -697,6 +716,11 @@ class TestSmoothDistribution:
     def test_negative_mu_rejected(self):
         with pytest.raises(ConfigError):
             smooth_distribution(MotionDistribution(np.array([1.0])), -0.5)
+
+    @pytest.mark.parametrize("mu", [-0.5, np.nan, np.inf])
+    def test_bad_mu_message_says_finite_and_non_negative(self, mu):
+        with pytest.raises(ConfigError, match=rf"^smoothing exponent must be finite and >= 0, got {mu!r}$"):
+            smooth_distribution(MotionDistribution(np.array([1.0])), mu)
 
     def test_underflow_falls_back_to_uniform(self):
         m = MotionDistribution(np.full(4, 0.25))
