@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .motion import FrameVolume, MotionDistribution, video_distribution
+from .motion import FrameVolume, MotionDistribution, normalize_salience, smooth_distribution, video_salience
 from .sampling import SamplePlan, SamplerConfig, make_rng, sample_from_distribution, store_integers
 
 COMPARED_STRATEGIES = ("mg", "segment", "stride", "topk")
@@ -160,7 +160,7 @@ def compare_strategies(
     The distribution is computed once.  Each strategy gets a fresh generator
     seeded from cfg.seed, so results do not depend on strategy order.
     """
-    m = video_distribution(volume, cfg.mu, representation)
+    m = smooth_distribution(normalize_salience(video_salience(volume, representation)), cfg.mu)
     coverage = {}
     for strategy in COMPARED_STRATEGIES:
         plan = sample_from_distribution(m, replace(cfg, strategy=strategy))

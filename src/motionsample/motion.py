@@ -4,7 +4,9 @@ A video is a T x H x W x C tensor. The motion signal of frame t is the
 summed absolute difference against frame t-1 (image level), or the summed
 per-pixel euclidean norm of the difference between shallow convolution
 features (feature level). Salience is then l1-normalized into a probability
-distribution over frames and optionally power-smoothed (``video_distribution``).
+distribution over frames and optionally power-smoothed.  ``video_salience``
+computes a video's salience at either level, once; ``sampling.sample_salience``
+normalizes, smooths and draws from it.
 
 The feature level uses a fixed, training-free bank of eight 7x7 filters:
 load it from an MGKB weight file (``ingest``), build it from a seeded
@@ -13,7 +15,7 @@ the bank over a frame, and ``_conv2d_window`` over any window of it, in row
 strips whose bands stay within 4160 columns, each as one float64 dgemm per
 horizontal tap over shifted row bands of the zero-padded input: 7*C band
 rows instead of a 49*C-row im2col matrix, and scratch sized by the frame's
-width, not its height.
+width, capped by the whole frame, never growing with its height.
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
 
     Stride 1 with zero-padding 3, so the spatial size is preserved.  The
     frame is the widest window of ``_conv2d_window``, its strips copied out
-    of a scratch sized by the frame's width alone.  Each output sums the
+    of a scratch sized by ``_window_scratch``.  Each output sums the
     same 49*C products as the direct correlation, in a float64 order that
     BLAS fixes in part; README, *Reproducibility notes*, says which bits
     that leaves to the BLAS kernel.
@@ -267,7 +269,7 @@ def conv2d_apply(frame: np.ndarray, bank: ConvKernelBank) -> np.ndarray:
         raise ConfigError(
             f"kernel bank expects {bank.channels} channel(s), frame has {frame.shape[2]}"
         )
-    return _feature_map(frame, bank, _window_scratch(*frame.shape[1:]))
+    return _feature_map(frame, bank, _window_scratch(*frame.shape))
 
 
 def _feature_map(frame: np.ndarray, bank: ConvKernelBank, scratch: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -290,19 +292,21 @@ def _band_length(h: int, wp: int) -> int:
     return -(-(h * wp + KERNEL_SIZE - 1) // _COLUMN_BLOCK) * _COLUMN_BLOCK
 
 
-def _window_scratch(w: int, c: int) -> tuple[np.ndarray, ...]:
-    """Flat buffers for ``_conv2d_window`` on frames W wide with C channels: padded input, bands, tap products, output.
+def _window_scratch(h: int, w: int, c: int) -> tuple[np.ndarray, ...]:
+    """Flat buffers for ``_conv2d_window`` on (H, W, C) frames: padded input, bands, tap products, output.
 
     They are sized by the widest band a strip can have, ``_BAND_COLUMNS`` or
-    one row of the frame's width, so one set serves every window of a clip
-    and does not grow with the frame's height.  They are views of one block:
-    taken and freed once per clip, one block is reused from the heap, where
-    glibc handed four smaller ones back to the OS and faulted them in again
-    on every call.  Each strip refills all four; the tap products are free
-    once it is yielded, and the output holds it.
+    one row of the frame's width, and never beyond the whole frame's band,
+    so one set serves every window of a clip and does not grow with the
+    frame's height, while a small frame's scratch stays as small as the
+    frame.  They are views of one block: taken and freed once per clip, one
+    block is reused from the heap, where glibc handed four smaller ones back
+    to the OS and faulted them in again on every call.  Each strip refills
+    all four; the tap products are free once it is yielded, and the output
+    holds it.
     """
     wp = w + 2 * KERNEL_PADDING
-    n = max(_BAND_COLUMNS, _band_length(1, wp))  # whole 64-byte lines: each buffer after the first starts on one
+    n = min(max(_BAND_COLUMNS, _band_length(1, wp)), _band_length(h, wp))  # whole 64-byte lines: buffers start on one
     sizes = [c * KERNEL_SIZE * n, KERNEL_COUNT * n, KERNEL_COUNT * n, c * (KERNEL_SIZE * wp + n)]
     bands, products, out, padded = np.split(_aligned_empty(sum(sizes)), np.cumsum(sizes[:-1]))
     return padded, bands, products, out
@@ -320,7 +324,7 @@ def _conv2d_window(
     wider band); strips of one pixel come only from one-pixel windows,
     since numpy sums a lone pixel's channels in another order (README,
     *Reproducibility notes*).  Each strip is a view into ``scratch`` (from
-    ``_window_scratch`` for the frame's width), valid until the next strip
+    ``_window_scratch`` for the frame's shape), valid until the next strip
     or call that uses the same buffers.  Accumulation runs in float64, as
     one band product per horizontal tap.  A strip's input, rows ys-3:ye+3
     and columns x0-3:x1+3, is read from the frame (given a uint8 ``prev``,
@@ -382,8 +386,9 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     of frames[t] - frames[t-1]: no frame 0, no cached feature map.  Other
     clips convolve frame 0 whole, then windows of frames[t] against the
     cached map.  The scratch, one set of strip buffers sized by the frame's
-    width, change masks of at most 256 KiB or one frame, an (H, W) norm map
-    and the feature map if cached, does not grow with T.
+    width and capped by its whole band, change masks of at most 256 KiB or
+    one frame, an (H, W) norm map and the feature map if cached, does not
+    grow with T.
 
     Pixels compare by value, so 0.0 and -0.0 are equal; the two can change a
     feature value only in the sign of a zero, which no square can see.  A
@@ -403,13 +408,13 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
     out = np.zeros(t_count, dtype=np.float64)
     r = KERNEL_PADDING
     by_difference = frames.dtype == np.uint8 and bank._sums_uint8_exactly  # README, *Reproducibility notes*
-    scratch = _window_scratch(w, c)  # one set of strip buffers for every window
+    scratch = _window_scratch(h, w, c)  # one set of strip buffers for every window
     k = max(1, min(t_count - 1, _CHUNK_BYTES // flat[0].size))
     masks = np.empty((k, h, w * c), dtype=np.bool_)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: the errors below name the frame
         if not by_difference:
             feats = _feature_map(frames[0], bank, scratch)  # updated in place
-            if t_count > 1 and not np.isfinite(feats).all():
+            if t_count > 1 and not np.isfinite(feats.sum()):  # a finite map sums below 1e80: no overflow
                 raise StructuralError("salience entry 1 (frame 0) must be finite and >= 0")
         for s in range(1, t_count, k):
             e = min(s + k, t_count)
@@ -475,23 +480,16 @@ def smooth_distribution(m: MotionDistribution, mu: float) -> MotionDistribution:
 REPRESENTATIONS = ("image", "feature")
 
 
-def video_distribution(
-    volume: FrameVolume,
-    mu: float,
-    representation: str = "image",
-    bank: ConvKernelBank | None = None,
-) -> MotionDistribution:
-    """Image- or feature-level salience, l1-normalized and power-smoothed by mu: what every strategy draws from.
+def video_salience(volume: FrameVolume, representation: str = "image", bank: ConvKernelBank | None = None) -> SalienceVector:
+    """Image- or feature-level salience: the stage every draw from a video shares.
 
     A seed-0 Gaussian bank is the feature default.
     """
     if representation == "image":
-        salience = image_diff_salience(volume)
-    elif representation == "feature":
-        salience = feature_diff_salience(volume, bank or random_bank(volume.channels))
-    else:
-        raise ConfigError(f"unknown representation {representation!r}, expected one of {REPRESENTATIONS}")
-    return smooth_distribution(normalize_salience(salience), mu)
+        return image_diff_salience(volume)
+    if representation == "feature":
+        return feature_diff_salience(volume, bank or random_bank(volume.channels))
+    raise ConfigError(f"unknown representation {representation!r}, expected one of {REPRESENTATIONS}")
 
 
 def downsample_volume(video: FrameVolume, factor: int) -> FrameVolume:

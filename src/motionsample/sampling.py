@@ -21,9 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .motion import DISTRIBUTION_SUM_TOL, ConvKernelBank, FrameVolume, MotionDistribution, video_distribution
+from .motion import (DISTRIBUTION_SUM_TOL, ConvKernelBank, FrameVolume, MotionDistribution, SalienceVector,
+                     normalize_salience, smooth_distribution, video_salience)
 
 STRATEGIES = ("mg", "segment", "stride", "topk", "mg-clip")
+_MAX_PICKS = 2**16  # n_frames cap: a plan's memory grows with N, not with the video
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -81,8 +83,9 @@ class SamplerConfig:
     ``mu`` takes any real number (numpy floats too) and is stored as a
     Python ``float``; ``deterministic`` takes a bool (numpy bools too) and is
     stored as a Python ``bool``.
-    Strategy-specific fields are range-checked only for the strategy they
-    apply to.
+    ``n_frames`` is capped at 65536: a plan's memory follows N, not the
+    video.  Strategy-specific fields are range-checked only for the strategy
+    they apply to.
     """
 
     n_frames: int = 8
@@ -97,8 +100,8 @@ class SamplerConfig:
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}")
         store_integers(self, ("n_frames", "stride", "window_len", "seed"))
-        if self.n_frames < 1:
-            raise ConfigError(f"n_frames must be an integer >= 1, got {self.n_frames!r}")
+        if not 1 <= self.n_frames <= _MAX_PICKS:
+            raise ConfigError(f"n_frames must be an integer in 1..{_MAX_PICKS}, got {self.n_frames!r}")
         if not isinstance(self.mu, numbers.Real):
             raise ConfigError(f"mu must be a real number, got {self.mu!r}")
         object.__setattr__(self, "mu", float(self.mu))
@@ -333,22 +336,26 @@ def sample_from_distribution(m: MotionDistribution, cfg: SamplerConfig) -> Sampl
     return windowed_clip_sample(m, cfg)
 
 
+def sample_salience(salience: SalienceVector, cfg: SamplerConfig) -> tuple[SamplePlan, CumulativeCurve, MotionDistribution]:
+    """The draw stage: ``salience`` l1-normalized, power-smoothed by ``cfg.mu`` and sampled.
+
+    The plan follows from the salience and ``cfg`` alone: its draws come
+    from a generator seeded by ``cfg.seed``.  Returns the plan together with
+    the smoothed distribution and its curve so callers can export or inspect
+    them without recomputation; an mg plan was drawn from that very curve.
+    """
+    m = smooth_distribution(normalize_salience(salience), cfg.mu)
+    return sample_from_distribution(m, cfg), distribution_curve(m), m
+
+
 def sample_video(
     volume: FrameVolume,
     cfg: SamplerConfig,
     representation: str = "image",
     bank: ConvKernelBank | None = None,
 ) -> tuple[SamplePlan, CumulativeCurve, MotionDistribution]:
-    """Run the full sampling pipeline on one video.
-
-    The plan follows from the video and ``cfg`` alone: its draws come from a
-    generator seeded by ``cfg.seed``.  Returns the plan together with the
-    smoothed distribution and its curve so callers can export or inspect them
-    without recomputation; an mg plan was drawn from that very curve.
-    """
-    m = video_distribution(volume, cfg.mu, representation, bank)
-    plan = sample_from_distribution(m, cfg)
-    return plan, distribution_curve(m), m
+    """The whole pipeline on one video: ``sample_salience`` of its ``video_salience``."""
+    return sample_salience(video_salience(volume, representation, bank), cfg)
 
 
 def _format_float(v: float) -> str:

@@ -33,10 +33,10 @@ def convolve_window(frame, bank, y0, y1, x0, x1, scratch=None, prev=None) -> np.
     """Window y0:y1, x0:x1 of ``frame``'s features, (8, y1-y0, x1-x0): the strips ``_conv2d_window`` yields, stacked.
 
     Each strip is copied out before the next one reuses the scratch
-    (by default one for the frame's width); the strips must tile the
+    (by default one for the frame's shape); the strips must tile the
     window's rows in order.
     """
-    scratch = scratch or _window_scratch(*frame.shape[1:])
+    scratch = scratch or _window_scratch(*frame.shape)
     strips = [(ys, ye, strip.copy()) for ys, ye, strip in _conv2d_window(frame, bank, y0, y1, x0, x1, scratch, prev)]
     assert [ys for ys, _, _ in strips] + [y1] == [y0] + [ye for _, ye, _ in strips]
     return np.concatenate([strip for _, _, strip in strips], axis=1)

@@ -230,6 +230,19 @@ class TestSampleErrors:
         # a file the frame loader skips may live beside the frames
         assert main(["sample", "--frames-dir", str(d), flag, str(d / "plan.json")]) == 0
 
+    def test_num_frames_above_the_cap_is_usage_error_before_any_read(self, tmp_path, capsys):
+        mgvt = tmp_path / "v.mgvt"
+        assert main(["gen", "--t-count", "10", "--height", "8", "--width", "8", "--out", str(mgvt)]) == 0
+        capsys.readouterr()
+        for video in (mgvt, tmp_path / "missing.mgvt"):  # a read of the missing file would exit 2
+            argv = ["sample", "--raw-tensor", str(video), "--num-frames", "65537",
+                    "--out", str(tmp_path / "plan.json"), "--emit-curve", str(tmp_path / "curve.csv")]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "motionsample sample: error: n_frames must be an integer in 1..65536, got 65537\n"
+        assert list(tmp_path.iterdir()) == [mgvt]
+
     def test_zero_downsample_is_usage_error(self, tmp_path, capsys):
         d = make_frames_dir(tmp_path, "v")
         assert main(["sample", "--frames-dir", str(d), "--downsample", "0"]) == 1

@@ -22,6 +22,7 @@ from motionsample import (
     sample_video,
     smooth_distribution,
 )
+from motionsample import evalbench, sampling
 from motionsample.evalbench import COMPARED_STRATEGIES
 
 
@@ -200,6 +201,21 @@ class TestCompareStrategies:
             coverage[strategy] = burst_coverage(plan, spec)
             mass = salience_mass_in_bursts(m, spec)
         assert report == CoverageReport(coverage=coverage, salience_mass_in_bursts=mass)
+
+    @pytest.mark.parametrize("representation", ["image", "feature"])
+    def test_computes_the_salience_once(self, monkeypatch, representation):
+        calls = []
+        real = evalbench.video_salience
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (evalbench, sampling):  # a detour through sample_video would show too
+            monkeypatch.setattr(module, "video_salience", spy)
+        spec = spec_with(t=30, bursts=((10, 19, 2.0),))
+        compare_strategies(generate_synthetic_video(spec), spec, SamplerConfig(n_frames=4), representation)
+        assert len(calls) == 1
 
     def test_report_json_round_trips(self):
         spec = spec_with(t=40, bursts=((10, 19, 2.0),))

@@ -180,7 +180,7 @@ def test_rows_wider_than_the_band_cap_run_one_row_per_strip(rng):
     h, w, c = 3, 4150, 1
     frame = rng.integers(0, 256, size=(h, w, c), dtype=np.uint8)
     bank = random_bank(c, seed=0)
-    strips = _conv2d_window(frame, bank, 0, h, 0, w, _window_scratch(w, c))
+    strips = _conv2d_window(frame, bank, 0, h, 0, w, _window_scratch(h, w, c))
     assert [ye - ys for ys, ye, _ in strips] == [1, 1, 1]
     assert conv2d_apply(frame, bank).tobytes() == tensordot_conv2d(frame, bank.kernels).tobytes()
 
@@ -226,7 +226,7 @@ class TestConv2dWindow:
             frame = rng.uniform(0, 255, size=(*hw, c)).astype(np.float32)
         bank = random_bank(c, seed=5)
         whole = conv2d_apply(frame, bank)
-        scratch = _window_scratch(*frame.shape[1:])  # shared by every window, as in a clip
+        scratch = _window_scratch(*frame.shape)  # shared by every window, as in a clip
         for y0, y1, x0, x1 in _edge_windows(*hw):
             window = convolve_window(frame, bank, y0, y1, x0, x1, scratch)
             assert window.tobytes() == whole[:, y0:y1, x0:x1].tobytes(), (y0, y1, x0, x1)
@@ -307,7 +307,7 @@ def test_bound_property_agrees_with_the_oracle_on_random_banks():
 def test_window_scratch_starts_on_64_byte_boundaries(hwc):
     # the feature loop's vector adds read and write these buffers; left where
     # the heap put them, they made feature salience ~25% slower on an AVX-512 Xeon
-    assert [buf.ctypes.data % 64 for buf in _window_scratch(*hwc[1:])] == [0, 0, 0, 0]
+    assert [buf.ctypes.data % 64 for buf in _window_scratch(*hwc)] == [0, 0, 0, 0]
 
 
 def test_scratch_stays_below_the_im2col_matrix(rng):
@@ -349,9 +349,8 @@ def test_feature_salience_scratch_does_not_grow_with_t(rng):
 @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
 def test_feature_salience_scratch_does_not_grow_with_frame_height(rng, dtype):
     # the strip buffers are sized by the frame's width; only the (H, W) norm
-    # map, the change masks and a float32 clip's cached (8, H, W) feature map,
-    # with the bools of its finiteness check, grow with H (the clip itself is
-    # allocated before the peaks are taken)
+    # map, the change masks and a float32 clip's cached (8, H, W) feature map
+    # grow with H (the clip itself is allocated before the peaks are taken)
     t, w, c = 4, 64, 3
     bank = random_bank(c, seed=0)
 
@@ -367,10 +366,27 @@ def test_feature_salience_scratch_does_not_grow_with_frame_height(rng, dtype):
 
     def frame_sized(h: int) -> int:
         masks = max(1, min(t - 1, _CHUNK_BYTES // (h * w * c))) * h * w * c
-        return 8 * h * w + masks + (dtype == np.float32) * (8 + 1) * 8 * h * w
+        return 8 * h * w + masks + (dtype == np.float32) * 8 * 8 * h * w
 
     low, tall = peak_of(64), peak_of(512)
     assert tall - low <= frame_sized(512) - frame_sized(64) + 16 * 1024  # plus slack for row and column indices
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+def test_small_frames_get_scratch_sized_by_the_frame(rng, dtype):
+    # the strip buffers hold no more than the whole frame's band: an 8x8x3
+    # clip's band is 14*8+6 = 118 columns, 128 once rounded, not the 4160 of
+    # the cap, so its feature salience peaks far below the cap's 1.3 MiB
+    bank = random_bank(3, seed=0)
+    video = FrameVolume(rng.integers(0, 256, size=(4, 8, 8, 3), dtype=np.uint8).astype(dtype))
+    feature_diff_salience(video, bank)  # numpy's first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        feature_diff_salience(video, bank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_uint8_feature_salience_keeps_no_feature_map(rng):
@@ -380,7 +396,7 @@ def test_uint8_feature_salience_keeps_no_feature_map(rng):
     h, w, c = 64, 64, 3
     bank = random_bank(c, seed=0)
     frames = rng.integers(0, 256, size=(6, h, w, c), dtype=np.uint8)
-    scratch, feature_map = sum(buf.nbytes for buf in _window_scratch(w, c)), 8 * h * w * 8
+    scratch, feature_map = sum(buf.nbytes for buf in _window_scratch(h, w, c)), 8 * h * w * 8
 
     def peak_of(video: FrameVolume) -> int:
         feature_diff_salience(video, bank)  # numpy's first-call allocations stay out of the peak
@@ -478,7 +494,7 @@ rng = np.random.default_rng(3)
 frame = rng.uniform(0, 255, size=(64, 64, 3)).astype(np.float32)
 bank = random_bank(3, seed=0)
 whole = conv2d_apply(frame, bank)
-scratch = _window_scratch(64, 3)
+scratch = _window_scratch(64, 64, 3)
 windows = {[*_edge_windows(64, 64), (3, 60, 0, 64), (9, 64, 5, 61), (0, 51, 13, 64), (20, 63, 1, 50)]!r}
 for y0, y1, x0, x1 in windows:
     strips = [strip.tobytes() == whole[:, ys:ye, x0:x1].tobytes()

@@ -564,7 +564,7 @@ class TestFeatureWindows:
         # so the strip heights are checked too
         bank = random_bank(1, seed=5)
         video = random_volume(rng, 12, h=h, w=1, dtype=np.float32)
-        strips = motion._conv2d_window(video.frames[0], bank, 0, h, 0, 1, motion._window_scratch(1, 1))
+        strips = motion._conv2d_window(video.frames[0], bank, 0, h, 0, 1, motion._window_scratch(h, 1, 1))
         assert [ye - ys for ys, ye, _ in strips] == heights
         assert feature_diff_salience(video, bank).values.tobytes() == convolve_every_frame(video, bank).tobytes()
 
@@ -751,6 +751,21 @@ class TestSmoothDistribution:
         out = smooth_distribution(m, mu)
         assert abs(out.probs.sum() - 1.0) <= 1e-9
         assert np.all(out.probs >= 0)
+
+
+class TestVideoSalience:
+    def test_dispatches_on_representation_with_a_seed_0_default_bank(self, rng):
+        v = random_volume(rng, 5, h=9, w=7, c=3)
+        assert motion.video_salience(v).values.tobytes() == image_diff_salience(v).values.tobytes()
+        default = feature_diff_salience(v, random_bank(3, seed=0)).values.tobytes()
+        assert motion.video_salience(v, "feature").values.tobytes() == default
+        other = random_bank(3, seed=1)
+        assert motion.video_salience(v, "feature", other).values.tobytes() == feature_diff_salience(v, other).values.tobytes()
+
+    def test_rejects_unknown_representation(self, rng):
+        with pytest.raises(ConfigError) as e:
+            motion.video_salience(random_volume(rng, 3), "flow")
+        assert str(e.value) == "unknown representation 'flow', expected one of ('image', 'feature')"
 
 
 class TestDownsample:

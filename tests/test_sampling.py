@@ -14,6 +14,7 @@ from motionsample import (
     CumulativeCurve,
     FrameVolume,
     MotionDistribution,
+    SalienceVector,
     SamplePlan,
     SamplerConfig,
     StructuralError,
@@ -22,17 +23,20 @@ from motionsample import (
     invert_curve,
     make_rng,
     mg_sample,
+    normalize_salience,
     plan_to_json,
     sample_from_distribution,
     sample_video,
     segment_sample,
+    smooth_distribution,
     stride_sample,
     topk_sample,
     video_seed,
     windowed_clip_sample,
 )
 from motionsample import sampling
-from conftest import random_distribution
+from motionsample.motion import REPRESENTATIONS, video_salience
+from conftest import random_distribution, random_volume
 from oracles import brute_force_invert, scalar_interval_draws, scalar_plan
 
 
@@ -519,6 +523,11 @@ class TestSamplerConfigType:
         with pytest.raises(ConfigError):
             SamplerConfig(n_frames=0)
 
+    def test_n_frames_is_capped_at_65536(self):
+        assert SamplerConfig(n_frames=2**16).n_frames == 2**16
+        with pytest.raises(ConfigError, match=r"n_frames must be an integer in 1\.\.65536, got 65537"):
+            SamplerConfig(n_frames=2**16 + 1)
+
     def test_negative_mu(self):
         with pytest.raises(ConfigError):
             SamplerConfig(mu=-1.0)
@@ -763,3 +772,31 @@ def test_sample_video_rejects_unknown_representation(rng):
     volume = FrameVolume(rng.integers(0, 256, (6, 4, 4, 1), dtype=np.uint8))
     with pytest.raises(ConfigError, match="unknown representation 'flow'"):
         sample_video(volume, cfg_for("mg", 2), "flow")
+
+
+class TestSalienceStage:
+    """``sample_video`` is ``sample_salience`` of ``video_salience``: a salience kept as text replays its plans."""
+
+    @pytest.mark.parametrize("representation", REPRESENTATIONS)
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+    def test_plans_replay_from_the_salience_written_as_repr(self, rng, representation, dtype):
+        frames = random_volume(rng, 30, h=9, w=7, c=3, dtype=dtype).frames.copy()
+        frames[10:16] = frames[10]  # a static run: zero scores among the others
+        volume = FrameVolume(frames)
+        text = [repr(float(v)) for v in video_salience(volume, representation).values]
+        salience = SalienceVector(np.array([float(v) for v in text]))
+        for strategy in STRATEGIES:
+            for deterministic in (False, True):
+                cfg = SamplerConfig(n_frames=6, mu=0.7, strategy=strategy, window_len=12, seed=9,
+                                    deterministic=deterministic)
+                plan, curve, _ = sample_video(volume, cfg, representation)
+                replay, replay_curve, _ = sampling.sample_salience(salience, cfg)
+                assert plan_to_json(replay) == plan_to_json(plan), (strategy, deterministic)
+                assert curve_to_csv(replay_curve) == curve_to_csv(curve), (strategy, deterministic)
+
+    def test_returns_the_kept_curve_of_the_smoothed_distribution(self, rng):
+        salience = SalienceVector(np.concatenate(([0.0], rng.uniform(0, 5, 19))))
+        plan, curve, m = sampling.sample_salience(salience, cfg_for("mg", 4, seed=1))
+        assert curve is sampling.distribution_curve(m)
+        assert m.probs.tobytes() == smooth_distribution(normalize_salience(salience), 0.5).probs.tobytes()
+        assert plan_to_json(plan) == plan_to_json(mg_sample(curve, cfg_for("mg", 4, seed=1)))
