@@ -88,16 +88,19 @@ def _build_parser() -> _Parser:
     _add_sampler_flags(sample, one_strategy=True)
     sample.add_argument("--out", metavar="FILE", help="plan JSON path (default: stdout)")
     sample.add_argument("--emit-curve", metavar="FILE", help="also write the curve CSV")
+    sample.set_defaults(run=_run_sample)
 
     ev = sub.add_parser("eval", help="compare strategies on a synthetic burst video")
     _add_synth_flags(ev)
     ev.add_argument("--representation", choices=REPRESENTATIONS, default="image")
     _add_sampler_flags(ev, one_strategy=False)
     ev.add_argument("--out", metavar="FILE", help="report JSON path (default: stdout)")
+    ev.set_defaults(run=_run_eval)
 
     gen = sub.add_parser("gen", help="write a synthetic video as an MGVT raw tensor")
     _add_synth_flags(gen)
     gen.add_argument("--out", metavar="FILE", required=True)
+    gen.set_defaults(run=_run_gen)
     return parser
 
 
@@ -237,13 +240,6 @@ def _run_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "sample": _run_sample,
-    "eval": _run_eval,
-    "gen": _run_gen,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -252,7 +248,7 @@ def main(argv=None) -> int:
         print(e, file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except ConfigError as e:  # flags only: load_kernel_bank wraps a weights file's, work catches a video's
         print(f"motionsample {args.command}: error: {e}", file=sys.stderr)
         return EXIT_USAGE

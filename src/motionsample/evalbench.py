@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, StructuralError
-from .motion import FrameVolume, MotionDistribution, normalize_salience, smooth_distribution, video_salience
-from .sampling import SamplePlan, SamplerConfig, make_rng, sample_from_distribution, store_integers
+from .motion import FrameVolume, MotionDistribution, video_salience
+from .sampling import SamplePlan, SamplerConfig, make_rng, sample_salience, store_integers
 
 COMPARED_STRATEGIES = ("mg", "segment", "stride", "topk")
 _F32_MAX = float(np.finfo(np.float32).max)
@@ -155,15 +155,16 @@ def compare_strategies(
     cfg: SamplerConfig,
     representation: str = "image",
 ) -> CoverageReport:
-    """Run mg, segment, stride, and topk on one distribution; report coverage.
+    """Run mg, segment, stride, and topk on one salience; report coverage.
 
-    The distribution is computed once.  Each strategy gets a fresh generator
-    seeded from cfg.seed, so results do not depend on strategy order.
+    The salience is computed once, and each strategy is drawn from it by
+    ``sample_salience``.  Each strategy gets a fresh generator seeded from
+    cfg.seed, so results do not depend on strategy order.
     """
-    m = smooth_distribution(normalize_salience(video_salience(volume, representation)), cfg.mu)
+    salience = video_salience(volume, representation)
     coverage = {}
     for strategy in COMPARED_STRATEGIES:
-        plan = sample_from_distribution(m, replace(cfg, strategy=strategy))
+        plan, _, m = sample_salience(salience, replace(cfg, strategy=strategy))
         coverage[strategy] = burst_coverage(plan, spec)
     return CoverageReport(coverage=coverage, salience_mass_in_bursts=salience_mass_in_bursts(m, spec))
 

@@ -13,9 +13,9 @@ load it from an MGKB weight file (``ingest``), build it from a seeded
 Gaussian draw, or use the identity test preset.  ``conv2d_apply`` runs
 the bank over a frame, and ``_conv2d_window`` over any window of it, in row
 strips whose bands stay within 4160 columns, each as one float64 dgemm per
-horizontal tap over shifted row bands of the zero-padded input: 7*C band
-rows instead of a 49*C-row im2col matrix, and scratch sized by the frame's
-width, capped by the whole frame, never growing with its height.
+horizontal tap over 7*C shifted row bands of the zero-padded input, and
+scratch sized by the frame's width, capped by the whole frame, never growing
+with its height.
 """
 
 from __future__ import annotations
@@ -135,13 +135,14 @@ class MotionDistribution:
 def _salience_vector(out: np.ndarray, frames: np.ndarray) -> SalienceVector:
     """Wrap scores computed from ``frames``; a non-finite score names the first non-finite frame.
 
-    Score t mixes frames t-1 and t, so its own index can point one frame
-    late; the frames are scanned only on this error path.
+    Score t mixes frames t-1 and t, and the first non-finite frame makes the
+    first non-finite score (score 1 for frame 0), so the frame is bad - 1 if
+    that frame holds a non-finite value, else bad: no other frame is read.
     """
     finite = np.isfinite(out)
     if not finite.all():
-        bad = int(np.argmin(finite))  # argmin of a bool array: first False
-        frame = next((t for t in range(frames.shape[0]) if not np.isfinite(frames[t]).all()), bad)
+        bad = int(np.argmin(finite))  # argmin of a bool array: first False; score 0 is always 0
+        frame = bad - 1 if not np.isfinite(frames[bad - 1]).all() else bad
         raise StructuralError(f"salience entry {bad} (frame {frame}) must be finite and >= 0")
     return SalienceVector(out)
 
@@ -151,12 +152,13 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
 
     Channels count as extra spatial extent: for C=3 the absolute differences
     of all three channels are summed.  uint8 frames are differenced over
-    chunks of frame pairs and summed in uint16 groups of at most 256
-    values, then in uint32 or uint64, so the scores are exact integers,
-    whatever the chunking; float32 frames are widened once into two reused
-    float64 buffers, differenced over frame t-1's and summed there.  Scratch
-    memory does not grow with T.  README, *Reproducibility notes*, states
-    the chunking, grouping, accumulator and float32 rules.
+    chunks of frame pairs into rows zero-padded to whole uint16 groups of at
+    most 256 values, summed by group, then in uint32 or uint64, so the
+    scores are exact integers, whatever the chunking; float32 frames are
+    widened once into two reused float64 buffers, differenced over frame
+    t-1's and summed there.  Scratch memory does not grow with T.  README,
+    *Reproducibility notes*, states the chunking, grouping, accumulator and
+    float32 rules.
     """
     frames = video.frames
     t_count = video.t_count
@@ -164,21 +166,19 @@ def image_diff_salience(video: FrameVolume) -> SalienceVector:
     if frames.dtype == np.uint8:
         flat = frames.reshape(t_count, -1)
         n = flat.shape[1]
-        k = max(1, min(t_count - 1, _CHUNK_BYTES // n))
-        hi, lo = np.empty((k, n), dtype=np.uint8), np.empty((k, n), dtype=np.uint8)
-        acc = np.uint32 if 255 * n < 2**32 else np.uint64
         g = min(n, 256)  # a group of 256 differences sums to at most 65280: exact in uint16
-        full = n - n % g
+        row = -(-n // g) * g  # a row zero-padded to whole groups
+        k = max(1, min(t_count - 1, _CHUNK_BYTES // row))
+        hi, lo = np.empty((k, row), dtype=np.uint8), np.empty((k, n), dtype=np.uint8)
+        hi[:, n:] = 0  # the pad, never written again; np.zeros would fault its pages in on every call
+        acc = np.uint32 if 255 * n < 2**32 else np.uint64
         for s in range(1, t_count, k):
             e = min(s + k, t_count)
-            hk, lk = hi[: e - s], lo[: e - s]
+            hk, lk = hi[: e - s, :n], lo[: e - s]
             np.maximum(flat[s:e], flat[s - 1 : e - 1], out=hk)
             np.minimum(flat[s:e], flat[s - 1 : e - 1], out=lk)
             np.subtract(hk, lk, out=hk)
-            sums = hk[:, :full].reshape(e - s, -1, g).sum(axis=2, dtype=np.uint16).sum(axis=1, dtype=acc)
-            if full < n:  # the last n % g columns, fewer than a group
-                sums += hk[:, full:].sum(axis=1, dtype=np.uint16)
-            out[s:e] = sums
+            out[s:e] = hi[: e - s].reshape(e - s, -1, g).sum(axis=2, dtype=np.uint16).sum(axis=1, dtype=acc)
     else:
         n = frames[0].size
         step = -(-n // 8) * 8  # whole 64-byte lines per frame, so both buffers start on one
@@ -415,7 +415,8 @@ def feature_diff_salience(video: FrameVolume, bank: ConvKernelBank) -> SalienceV
         if not by_difference:
             feats = _feature_map(frames[0], bank, scratch)  # updated in place
             if t_count > 1 and not np.isfinite(feats.sum()):  # a finite map sums below 1e80: no overflow
-                raise StructuralError("salience entry 1 (frame 0) must be finite and >= 0")
+                out[1] = np.nan  # score 1 stands for frame 0's map: _salience_vector names frame 0
+                return _salience_vector(out, frames)
         for s in range(1, t_count, k):
             e = min(s + k, t_count)
             changed = masks[: e - s]
@@ -499,4 +500,4 @@ def downsample_volume(video: FrameVolume, factor: int) -> FrameVolume:
     factor = int(factor)
     if factor == 1:
         return video
-    return FrameVolume(np.ascontiguousarray(video.frames[:, ::factor, ::factor, :]))
+    return FrameVolume(video.frames[:, ::factor, ::factor, :])

@@ -166,8 +166,8 @@ def _anchors(probs: np.ndarray) -> np.ndarray:
 
 
 def build_curve(m: MotionDistribution) -> CumulativeCurve:
-    """Prefix-sum the distribution into curve anchors; ``CumulativeCurve`` checks them and pins F_T to exactly 1."""
-    return CumulativeCurve(np.concatenate(([0.0], np.cumsum(m.probs))))
+    """The distribution's ``_anchors``, checked by ``CumulativeCurve``."""
+    return CumulativeCurve(_anchors(m.probs))
 
 
 def distribution_curve(m: MotionDistribution) -> CumulativeCurve:
@@ -251,8 +251,8 @@ def mg_sample(curve: CumulativeCurve, cfg: SamplerConfig) -> SamplePlan:
 def segment_sample(t_count: int, cfg: SamplerConfig) -> SamplePlan:
     """One frame per equal temporal segment [(i-1)T/N, iT/N)."""
     _require_strategy(cfg, "segment")
-    if t_count < 1:
-        raise StructuralError(f"t_count must be >= 1, got {t_count}")
+    if not isinstance(t_count, numbers.Integral) or t_count < 1:
+        raise StructuralError(f"t_count must be an integer >= 1, got {t_count!r}")
     rng = _resolve_rng(cfg)
     n = cfg.n_frames
     edges = [i * t_count / n for i in range(n + 1)]
@@ -266,8 +266,8 @@ def segment_sample(t_count: int, cfg: SamplerConfig) -> SamplePlan:
 def stride_sample(t_count: int, cfg: SamplerConfig) -> SamplePlan:
     """Arithmetic progression from a random start; overruns clamp to the last frame."""
     _require_strategy(cfg, "stride")
-    if t_count < 1:
-        raise StructuralError(f"t_count must be >= 1, got {t_count}")
+    if not isinstance(t_count, numbers.Integral) or t_count < 1:
+        raise StructuralError(f"t_count must be an integer >= 1, got {t_count!r}")
     rng = _resolve_rng(cfg)
     n, s = cfg.n_frames, cfg.stride
     hi = max(0, t_count - 1 - s * (n - 1))
@@ -308,12 +308,9 @@ def windowed_clip_sample(m: MotionDistribution, cfg: SamplerConfig) -> SamplePla
     start = 0 if rng is None else int(rng.integers(0, max(0, t - cfg.window_len) + 1))
     sub = m.probs[start : start + cfg.window_len]
     total = float(sub.sum())
-    # The window's anchors are build_curve's, without the checks that ``m``
-    # already implies.  ``m.probs`` is finite and >= 0, so total >= every
-    # entry (rounding is monotone) and each sub / total is finite and in
-    # [0, 1]; a cumsum of values >= 0 never decreases; _anchors sets F_0 = 0
-    # and keeps the F_T tolerance check, which also stands in for the
-    # window's own sum check (the two sums differ by rounding alone).
+    # build_curve's anchors without CumulativeCurve's copy and checks: m.probs
+    # is finite and >= 0, so sub / total is in [0, 1] and its cumsum never
+    # decreases; _anchors keeps the F_T check.
     f = _anchors(sub / total if total > 0.0 else np.full(sub.size, 1.0 / sub.size))
     ys = _interval_draws(cfg.n_frames, rng)
     indices = _invert(f, ys) + start

@@ -1,4 +1,5 @@
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -40,6 +41,20 @@ def convolve_window(frame, bank, y0, y1, x0, x1, scratch=None, prev=None) -> np.
     strips = [(ys, ye, strip.copy()) for ys, ye, strip in _conv2d_window(frame, bank, y0, y1, x0, x1, scratch, prev)]
     assert [ys for ys, _, _ in strips] + [y1] == [y0] + [ye for _, ye, _ in strips]
     return np.concatenate([strip for _, _, strip in strips], axis=1)
+
+
+def _uses_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 only prints its config
+        return False
+    return "openblas" in blas.get("name", "").lower()
+
+
+# OPENBLAS_CORETYPE picks a kernel only in an OpenBLAS build on x86_64
+needs_openblas_x86_64 = pytest.mark.skipif(
+    platform.machine() != "x86_64" or not _uses_openblas(), reason="needs OpenBLAS on x86_64"
+)
 
 
 def weights_at_the_bound(units: int) -> list[float]:

@@ -1,12 +1,17 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import struct
+import tempfile
 import threading
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionsample import FrameVolume, SamplerConfig, SyntheticSpec, load_raw_tensor, random_bank, save_kernel_bank, save_raw_tensor, video_seed
 from motionsample import cli
@@ -671,3 +676,94 @@ class TestAtomicOutputs:
             save_kernel_bank(random_bank(1, seed=2), out)
         assert out.read_bytes() == earlier
         assert list(tmp_path.iterdir()) == [out]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A frames directory, uint8 and float32 MGVT files (the float32 one holds an inf), an MGKB bank and a batch root."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(11)
+    frames = make_frames_dir(root, "frames", t=6)
+    u8, f32 = root / "u8.mgvt", root / "f32.mgvt"
+    save_raw_tensor(FrameVolume(rng.integers(0, 256, (7, 8, 8, 3), dtype=np.uint8)), u8)
+    clip = rng.uniform(0, 255, (5, 8, 8, 1)).astype(np.float32)
+    clip[3, 2, 2, 0] = np.inf
+    save_raw_tensor(FrameVolume(clip), f32)
+    bank = root / "bank.mgkb"
+    save_kernel_bank(random_bank(1, seed=3), bank)
+    batch = root / "batch"
+    batch.mkdir()
+    make_frames_dir(batch, "clip1", t=4)
+    save_raw_tensor(FrameVolume(rng.integers(0, 256, (6, 8, 8, 1), dtype=np.uint8)), batch / "clip2.mgvt")
+    save_raw_tensor(FrameVolume(clip), batch / "clip3.mgvt")
+    return {"frames": frames, "u8": u8, "f32": f32, "bank": bank, "batch": batch, "missing": root / "missing"}
+
+
+def _flag(name: str, ok: list[str], no: list[str]) -> tuple[list[list[str]], list[list[str]]]:
+    """(the groups a run may take: none, or the flag with a value from ``ok``; the failing groups, from ``no``)."""
+    return [[], *([name, v] for v in ok)], [[name, v] for v in no]
+
+
+# A token after a path flag names a fuzz input, or else an output in the run's own directory.
+_PATH_FLAGS = {"--frames-dir", "--raw-tensor", "--weights", "--out", "--emit-curve"}
+_SAMPLER_FLAGS = [
+    _flag("--num-frames", ["1", "4", "8"], ["0", "-3", "65537", "2.5"]),
+    _flag("--mu", ["0", "0.5", "2"], ["-1", "nan", "inf", "x"]),
+    _flag("--stride", ["1", "3"], ["0", "-2"]),
+    _flag("--seed", ["0", "7", "18446744073709551615"], ["-1", "18446744073709551616"]),
+    ([[], ["--deterministic"]], []),
+]
+_SYNTH_FLAGS = [
+    _flag("--t-count", ["1", "6", "12"], ["0", "-5", "x"]),
+    _flag("--height", ["1", "8"], ["0"]),
+    _flag("--width", ["1", "8"], ["-1"]),
+    _flag("--channels", ["1", "3"], ["2"]),
+    _flag("--burst", ["2:5:10", "0:1:300"], ["0:0:1e-45", "5:2:1", "a:b:c", "1:2", "3:4:nan", "3:4:-1"]),
+    _flag("--background", ["128", "0"], ["-1e39", "inf", "nan", "3e38"]),
+    _flag("--noise", ["0", "1"], ["-1", "nan", "3.4e38"]),
+    _flag("--gen-seed", ["0", "5"], ["-1"]),
+]
+_COMMANDS = {
+    "sample": [
+        ([["--frames-dir", "frames"], ["--raw-tensor", "u8"], ["--raw-tensor", "f32"], ["--batch", "--frames-dir", "batch"]],
+         [["--frames-dir", "u8"], ["--raw-tensor", "frames"], ["--raw-tensor", "bank"], ["--raw-tensor", "missing"],
+          ["--frames-dir", "frames"], ["--batch"]]),
+        ([[], ["--representation", "image"], ["--representation", "feature"],
+          ["--representation", "feature", "--weights", "bank"]],
+         [["--representation", "pixel"], ["--weights", "bank"], ["--weights", "u8"], ["--weights", "missing"]]),
+        _flag("--downsample", ["1", "2", "3"], ["0", "-1"]),
+        _flag("--strategy", ["mg", "segment", "stride", "topk", "mg-clip"], ["best"]),
+        _flag("--window", ["1", "4", "40"], ["0", "-1"]),
+        *_SAMPLER_FLAGS,
+        _flag("--out", ["plan.json"], [".", "missing/plan.json", "curve.csv"]),
+        _flag("--emit-curve", ["curve.csv"], [".", "missing/curve.csv", "plan.json"]),
+    ],
+    "eval": [*_SYNTH_FLAGS, _flag("--representation", ["image", "feature"], ["pixel"]), *_SAMPLER_FLAGS,
+             _flag("--out", ["report.json"], [".", "missing/report.json"])],
+    "gen": [*_SYNTH_FLAGS, ([["--out", "clip.mgvt"]], [["--out", "."], ["--out", "missing/clip.mgvt"]])],
+}
+
+
+def _command_argv(command: str):
+    """The command's groups in a drawn order, each one a run may take, then at most one failing group or stray token."""
+    valid = [st.sampled_from(ok) for ok, _ in _COMMANDS[command]]
+    bad = [group for _, no in _COMMANDS[command] for group in no] + [["--bogus"], ["stray"]]
+    return st.tuples(*valid).flatmap(st.permutations).flatmap(
+        lambda groups: st.lists(st.sampled_from(bad), max_size=1).map(
+            lambda extra: [command, *(t for group in [*groups, *extra] for t in group)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_COMMANDS)).flatmap(_command_argv))
+def test_any_argv_from_the_flag_grammar_exits_cleanly(fuzz_inputs, argv):
+    # exit 0, 1 or 2 and never a traceback; a usage error (exit 1) writes no file
+    out_dir = tempfile.mkdtemp(dir=fuzz_inputs["missing"].parent)
+    paths = {name: str(path) for name, path in fuzz_inputs.items()}
+    argv = [paths.get(t, os.path.join(out_dir, t)) if prev in _PATH_FLAGS else t for prev, t in zip([None, *argv], argv)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in stderr.getvalue(), argv
+    if code == 1:
+        assert os.listdir(out_dir) == [], argv

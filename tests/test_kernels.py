@@ -2,7 +2,6 @@ import contextlib
 import io
 import math
 import os
-import platform
 import re
 import struct
 import subprocess
@@ -28,7 +27,7 @@ from motionsample import (
     save_kernel_bank,
 )
 from motionsample.motion import _BAND_COLUMNS, _CHUNK_BYTES, _band_length, _conv2d_window, _window_scratch
-from conftest import convolve_window, weights_at_the_bound
+from conftest import convolve_window, needs_openblas_x86_64, weights_at_the_bound
 from oracles import loop_conv2d, tensordot_conv2d
 import motionsample
 
@@ -429,6 +428,21 @@ def test_uint8_image_salience_scratch_does_not_grow_with_t(rng):
     assert long < 2 * _CHUNK_BYTES + 2 * frame_bytes  # two difference buffers at the chunk cap
 
 
+@pytest.mark.parametrize("n", [257, 273])
+def test_uint8_image_salience_rows_past_a_group_stay_within_the_chunk_bytes(rng, n):
+    # rows of 257 and 273 values pad to two whole groups: no copy of a chunk's first group is taken
+    t = 2000
+    video = FrameVolume(rng.integers(0, 256, size=(t, 1, n, 1), dtype=np.uint8))
+    image_diff_salience(video)  # numpy's first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        image_diff_salience(video)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * _CHUNK_BYTES + 8 * t + 8 * 1024  # two difference buffers, the float64 scores, slack
+
+
 def test_float32_image_salience_scratch_does_not_grow_with_t(rng):
     h, w, c = 56, 56, 3
     frame64 = 8 * h * w * c
@@ -458,17 +472,7 @@ for h, w, c in ((8, 8, 3), (33, 17, 1), (64, 64, 3)):
 """
 
 
-def _uses_openblas() -> bool:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy < 1.26 only prints its config
-        return False
-    return "openblas" in blas.get("name", "").lower()
-
-
-@pytest.mark.skipif(
-    platform.machine() != "x86_64" or not _uses_openblas(), reason="needs OpenBLAS on x86_64"
-)
+@needs_openblas_x86_64
 def test_uint8_feature_salience_same_bytes_under_prescott_kernel():
     # README: uint8 input gives the same bytes under every BLAS kernel
     here = io.StringIO()
@@ -503,9 +507,7 @@ for y0, y1, x0, x1 in windows:
 """
 
 
-@pytest.mark.skipif(
-    platform.machine() != "x86_64" or not _uses_openblas(), reason="needs OpenBLAS on x86_64"
-)
+@needs_openblas_x86_64
 @pytest.mark.parametrize("threads", ["1", "2", "3"])
 def test_float32_windows_have_the_whole_frame_bits_under_prescott_kernel(threads):
     src = str(Path(motionsample.__file__).parents[1])

@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from motionsample import (
     random_bank,
     smooth_distribution,
 )
-from conftest import convolve_window, random_volume, weights_at_the_bound
+from conftest import convolve_window, needs_openblas_x86_64, random_volume, weights_at_the_bound
 from oracles import loop_image_salience, shannon_entropy
 
 MU_GRID = (0.0, 0.1, 0.3, 0.5, 0.8, 1.0, 2.0)
@@ -169,8 +173,12 @@ class TestUint8Accumulator:
 
 
 def _chunk_pairs(n: int, t: int | None = None) -> int:
-    """Frame pairs per uint8 salience chunk for a clip of t frames of n values each (t=None: a long clip)."""
-    k = motion._CHUNK_BYTES // n
+    """Frame pairs per uint8 salience chunk for a clip of t frames of n values each (t=None: a long clip).
+
+    A chunk holds rows of n values zero-padded to whole groups of min(n, 256).
+    """
+    g = min(n, 256)
+    k = motion._CHUNK_BYTES // (-(-n // g) * g)
     return max(1, k if t is None else min(t - 1, k))
 
 
@@ -208,8 +216,9 @@ class TestUint8Chunks:
             assert _chunk_pairs(4 * 5 * c, t) == t - 1
             self._assert_bitwise_equal_to_oracle(rng, t, 4, 5, c)
 
-    # n = H*W*C = 255, 256, 257, 511, 512, 513: below, at and past one and two whole groups
-    @pytest.mark.parametrize("h, w, c", [(5, 17, 3), (16, 16, 1), (1, 257, 1), (7, 73, 1), (8, 64, 1), (9, 19, 3)])
+    # n = H*W*C = 255, 256, 257, 273, 511, 512, 513: below, at and past one and two whole groups
+    @pytest.mark.parametrize("h, w, c", [(5, 17, 3), (16, 16, 1), (1, 257, 1), (13, 7, 3), (7, 73, 1), (8, 64, 1),
+                                         (9, 19, 3)])
     def test_row_lengths_around_the_group_size(self, rng, h, w, c):
         k = _chunk_pairs(h * w * c)
         for t in (k - 1, k, k + 1, 2 * k + 1):
@@ -612,6 +621,18 @@ class TestNonFiniteFrameNamed:
             else:
                 feature_diff_salience(FrameVolume(frames), random_bank(1))
 
+    @pytest.mark.parametrize("representation", ["image", "feature"])
+    @pytest.mark.parametrize("first, last", [(550, 550), (549, 550)])
+    def test_long_clip_names_the_frame_from_its_own_transition(self, rng, representation, first, last):
+        # the frame is named from the first bad score's transition, not by a scan from frame 0
+        frames = random_volume(rng, 600, dtype=np.float32).frames.copy()
+        frames[first : last + 1, 2, 3, 0] = np.nan
+        with pytest.raises(StructuralError, match=rf"^salience entry {first} \(frame {first}\) must be finite"):
+            if representation == "image":
+                image_diff_salience(FrameVolume(frames))
+            else:
+                feature_diff_salience(FrameVolume(frames), random_bank(1))
+
 
     def test_infinities_in_frame_0_leak_no_numpy_warning(self, rng):
         # two infinities under weights of opposite signs sum to inf - inf in the convolution
@@ -621,6 +642,20 @@ class TestNonFiniteFrameNamed:
             warnings.simplefilter("error")
             with pytest.raises(StructuralError, match=r"^salience entry 1 \(frame 0\)"):
                 feature_diff_salience(FrameVolume(frames), random_bank(1))
+
+
+@needs_openblas_x86_64
+def test_non_finite_frames_named_under_prescott_kernel():
+    # the feature path's non-finite scores come out of OpenBLAS's dgemm; another kernel must name the same frames
+    tests, src = Path(__file__).parent, str(Path(motion.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{tests / 'test_motion.py'}::TestNonFiniteFrameNamed"],
+        cwd=tests.parent, env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert " passed" in child.stdout and "skipped" not in child.stdout
 
 
 class TestMotionDistributionOwnsProbs:

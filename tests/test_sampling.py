@@ -281,8 +281,22 @@ class TestSegmentSample:
 
 @pytest.mark.parametrize("strategy, sampler", [("segment", segment_sample), ("stride", stride_sample)])
 def test_zero_frames_rejected(strategy, sampler):
-    with pytest.raises(StructuralError, match="t_count must be >= 1, got 0"):
+    with pytest.raises(StructuralError, match="t_count must be an integer >= 1, got 0"):
         sampler(0, cfg_for(strategy, 4, deterministic=True))
+
+
+@pytest.mark.parametrize("strategy, sampler", [("segment", segment_sample), ("stride", stride_sample)])
+@pytest.mark.parametrize("t_count", [5.5, "5", None])
+def test_non_integer_frame_counts_rejected(strategy, sampler, t_count):
+    # 5.5 would floor to a plan; "5" and None would raise a raw TypeError
+    with pytest.raises(StructuralError, match=rf"^t_count must be an integer >= 1, got {re.escape(repr(t_count))}$"):
+        sampler(t_count, cfg_for(strategy, 4, deterministic=True))
+
+
+@pytest.mark.parametrize("strategy, sampler", [("segment", segment_sample), ("stride", stride_sample)])
+def test_numpy_integer_frame_counts_accepted(strategy, sampler):
+    cfg = cfg_for(strategy, 4, deterministic=True)
+    assert sampler(np.int64(9), cfg).indices == sampler(9, cfg).indices
 
 
 class TestStrideSample:
